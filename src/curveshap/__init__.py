@@ -24,15 +24,7 @@ from .dataset import (
     subsample_imbalance,
 )
 from .errors import CurveshapError, ComputationError, DataError
-from .game import (
-    Coalition,
-    GameSpec,
-    PayoffTable,
-    Target,
-    evaluate_all,
-    evaluate_slices,
-    payoff,
-)
+from .game import GameSpec, PayoffTable, Target, evaluate_all, evaluate_slices
 from .model import TrainedModel, score, train_gnb
 from .shapley import (
     Attribution,
@@ -57,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Attribution",
     "BandedSeries",
-    "Coalition",
     "ComputationError",
     "CurveAttribution",
     "CurveshapError",
@@ -88,7 +79,6 @@ __all__ = [
     "load_csv",
     "mc_attributions",
     "mc_curves",
-    "payoff",
     "pr_from_scores",
     "project",
     "roc_from_scores",

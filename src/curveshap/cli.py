@@ -30,7 +30,7 @@ from .dataset import (
     subsample_imbalance,
     write_dataset_csv,
 )
-from .errors import ComputationError, CurveshapError, DataError
+from .errors import CurveshapError, DataError
 from .game import GameSpec, Target, evaluate_all, evaluate_slices
 from .shapley import (
     Attribution,
@@ -48,8 +48,24 @@ MANIFEST_NAME = "manifest.json"
 # Argument parsing
 # ----------------------------------------------------------------------
 
+class UsageError(DataError):
+    """Arguments that the parser or `_validate` rejected."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, so that `main` can report a bad
+    replayed manifest as a data error."""
+
+    def error(self, message):
+        raise UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curveshap",
         description="Attribute classifier ROC/PR performance to features "
                     "with Shapley values.",
@@ -139,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """Range-check arguments and flatten them into a manifest dict."""
+    """Range-check arguments and flatten them into a manifest dict; replayed
+    manifests come through here too, via `_manifest_argv`."""
     params = {k: v for k, v in vars(args).items() if k != "manifest"}
     if params.get("train_fraction") is not None:
         if not 0.0 < params["train_fraction"] < 1.0:
@@ -236,24 +253,32 @@ def _summary(out: Path, lines: list[str]) -> None:
 # Runners
 # ----------------------------------------------------------------------
 
-def run_explain_auc(params: dict) -> None:
+def _run_area(params: dict, target: Target) -> None:
     d = _load(params)
     train, test = _split(d, params)
-    spec = GameSpec(Target.auc(), train, test)
-    attr, table = _area_attribution(spec, params)
+    attr, table = _area_attribution(GameSpec(target, train, test), params)
     out = _out_dir(params)
     _write_attribution(out, "attribution", attr)
     if table is not None:
         header, rows = report.payoff_rows(table)
         report.write_csv(out / "payoffs.csv", header, rows)
     lines = [
-        "target: AUC",
+        f"target: {target.describe()}",
         f"achieved: {report.percent(attr.total)} (baseline {report.percent(attr.baseline)})",
-        "phi ranking:",
-        *_ranking_lines(attr),
     ]
+    if target.kind == game.AUPRC:
+        lines.append(f"positive proportion: {d.n_positive / d.n_rows:.4f}")
+    lines += ["phi ranking:", *_ranking_lines(attr)]
     _summary(out, lines)
     _write_manifest(out, params)
+
+
+def run_explain_auc(params: dict) -> None:
+    _run_area(params, Target.auc())
+
+
+def run_explain_auprc(params: dict) -> None:
+    _run_area(params, Target.auprc())
 
 
 def _run_slice_curves(params: dict, kind: str) -> None:
@@ -314,27 +339,6 @@ def run_explain_prc(params: dict) -> None:
     _run_slice_curves(params, game.PRC_SLICE)
 
 
-def run_explain_auprc(params: dict) -> None:
-    d = _load(params)
-    train, test = _split(d, params)
-    spec = GameSpec(Target.auprc(), train, test)
-    attr, table = _area_attribution(spec, params)
-    out = _out_dir(params)
-    _write_attribution(out, "attribution", attr)
-    if table is not None:
-        header, rows = report.payoff_rows(table)
-        report.write_csv(out / "payoffs.csv", header, rows)
-    lines = [
-        "target: AUPRC",
-        f"achieved: {report.percent(attr.total)} (baseline {report.percent(attr.baseline)})",
-        f"positive proportion: {d.n_positive / d.n_rows:.4f}",
-        "phi ranking:",
-        *_ranking_lines(attr),
-    ]
-    _summary(out, lines)
-    _write_manifest(out, params)
-
-
 def run_uncertainty(params: dict) -> None:
     d = _load(params)
     cfg = McConfig(
@@ -372,15 +376,7 @@ def run_uncertainty(params: dict) -> None:
     ]
     if params.get("slices"):
         mcca = mc_attributions(d, cfg, Target(game.ROC_SLICE))
-        header = ["fpr"]
-        for name in mcca.feature_names:
-            header += [f"mean_{name}", f"std_{name}"]
-        rows = []
-        for j, q in enumerate(mcca.abscissae):
-            row = [float(q)]
-            for i in range(len(mcca.feature_names)):
-                row += [float(mcca.mean[i, j]), float(mcca.std[i, j])]
-            rows.append(row)
+        header, rows = report.slice_band_rows(mcca)
         report.write_csv(out / "slice_bands.csv", header, rows)
         for name in mcca.feature_names:
             fb = mcca.feature_band(name)
@@ -460,33 +456,47 @@ def _error_record(exc: Exception) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
+def _manifest_argv(params: dict) -> list[str]:
+    """The argv that reproduces a manifest's parameters."""
+    argv = [params["command"]]
+    for key, value in params.items():
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+    return argv
+
+
+def _replay_params(parser: argparse.ArgumentParser, path: str) -> dict:
+    """Parameters of a manifest, validated as if they came from argv."""
+    try:
+        params = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    command = params.get("command") if isinstance(params, dict) else None
+    if command not in RUNNERS:
+        raise DataError(f"manifest names unknown command {command!r}")
+    return _validate(parser, parser.parse_args(_manifest_argv(params)))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "replay":
-        try:
-            params = json.loads(Path(args.manifest).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            _error_record(exc)
-            return 3
-        command = params.get("command")
-        if command not in RUNNERS:
-            _error_record(DataError(f"manifest names unknown command {command!r}"))
-            return 3
-    else:
-        params = _validate(parser, args)
-        command = params["command"]
     try:
-        RUNNERS[command](params)
-    except ComputationError as exc:
-        _error_record(exc)
-        return 4
-    except DataError as exc:
-        _error_record(exc)
-        return 3
+        args = parser.parse_args(argv)
+        params = None if args.command == "replay" else _validate(parser, args)
+    except UsageError as exc:
+        # A command-line mistake: usage text on stderr and exit code 2.
+        argparse.ArgumentParser.error(exc.parser, str(exc))
+    try:
+        if params is None:
+            params = _replay_params(parser, args.manifest)
+        RUNNERS[params["command"]](params)
     except CurveshapError as exc:
         _error_record(exc)
-        return 4
+        return 3 if isinstance(exc, DataError) else 4
     return 0
 
 

@@ -63,6 +63,16 @@ def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     return np.linspace(0.0, 1.0, size)
 
 
+def check_grid(grid) -> np.ndarray:
+    """`grid` as a non-empty 1-D float64 array of abscissae in [0, 1]."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DataError("grid must be a non-empty 1-D array")
+    if not ((grid >= 0.0) & (grid <= 1.0)).all():
+        raise DataError("grid abscissae must lie in [0, 1]")
+    return grid
+
+
 def _sweep(scores: np.ndarray, labels: np.ndarray):
     """Cumulative tp/fp counts at the end of each distinct-score group."""
     order = np.argsort(-scores, kind="stable")
@@ -109,42 +119,38 @@ def pr_from_scores(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     return PrCurve(recall, precision, trapezoid(precision, recall))
 
 
-def auc(c: RocCurve) -> float:
-    return c.auc
-
-
-def auprc(c: PrCurve) -> float:
-    return c.auprc
-
-
-def _estimate(x: np.ndarray, y: np.ndarray, query: float, s: Strategy) -> float:
+def _estimate(x: np.ndarray, y: np.ndarray, query, s: Strategy):
     if not isinstance(s, Strategy):
         raise DataError(f"unknown strategy {s!r}")
     # Clamp to the curve's span (relevant for PR curves; ROC spans [0,1]).
-    if query <= x[0]:
-        query = float(x[0])
-    elif query >= x[-1]:
-        query = float(x[-1])
-    b = int(np.searchsorted(x, query, side="left"))
-    a = int(np.searchsorted(x, query, side="right")) - 1
-    y_a, y_b = float(y[a]), float(y[b])
+    q = np.clip(np.asarray(query, dtype=np.float64), x[0], x[-1])
+    b = np.searchsorted(x, q, side="left")
+    a = np.searchsorted(x, q, side="right") - 1
+    y_a, y_b = y[a], y[b]
     if s is Strategy.OPTIMISTIC:
-        return max(y_a, y_b)
-    if s is Strategy.PESSIMISTIC:
-        return min(y_a, y_b)
-    if x[a] == x[b]:
-        # Query sits on a knot: a == b for a unique knot (both terms equal);
-        # for a repeated abscissa, average the two extremes of the run.
-        return 0.5 * (y_a + y_b)
-    x_a, x_b = float(x[a]), float(x[b])
-    return y_a + (y_b - y_a) * (query - x_a) / (x_b - x_a)
+        out = np.maximum(y_a, y_b)
+    elif s is Strategy.PESSIMISTIC:
+        out = np.minimum(y_a, y_b)
+    else:
+        x_a, x_b = x[a], x[b]
+        # Query sits on a knot where x_a == x_b: a == b for a unique knot (both
+        # terms equal); for a repeated abscissa, average the two extremes of
+        # the run.  The interpolation divides by zero there and is discarded.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(
+                x_a == x_b,
+                0.5 * (y_a + y_b),
+                y_a + (y_b - y_a) * (q - x_a) / (x_b - x_a),
+            )
+    return float(out) if out.ndim == 0 else out
 
 
-def estimate_tpr(c: RocCurve, fpr_query: float, s: Strategy) -> float:
-    """Curve value at `fpr_query` under the given bracketing strategy."""
+def estimate_tpr(c: RocCurve, fpr_query, s: Strategy):
+    """Curve value at `fpr_query` (a float or an array) under strategy `s`."""
     return _estimate(c.fpr, c.tpr, fpr_query, s)
 
 
-def estimate_precision(c: PrCurve, recall_query: float, s: Strategy) -> float:
-    """Curve value at `recall_query`; queries outside the span clamp to it."""
+def estimate_precision(c: PrCurve, recall_query, s: Strategy):
+    """Curve value at `recall_query` (a float or an array); queries outside
+    the span clamp to it."""
     return _estimate(c.recall, c.precision, recall_query, s)

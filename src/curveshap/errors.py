@@ -98,10 +98,6 @@ class TooManyFeaturesForExactMode(ComputationError):
         self.cap = cap
 
 
-class DegenerateCurve(ComputationError):
-    """A coalition's scores admit no valid performance curve."""
-
-
 class IncompleteTable(ComputationError):
     """A payoff table is missing coalitions required by the computation."""
 

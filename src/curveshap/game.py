@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .curves import (
     PrCurve,
     RocCurve,
     Strategy,
+    check_grid,
     estimate_precision,
     estimate_tpr,
     pr_from_scores,
@@ -27,6 +28,7 @@ from .curves import (
 from .dataset import Dataset, project
 from .errors import (
     DataError,
+    IncompleteTable,
     NoPositiveLabels,
     SingleClassLabels,
     TooManyFeaturesForExactMode,
@@ -108,52 +110,6 @@ class Target:
         return f"precision at recall={self.abscissa:g}"
 
 
-@dataclass(frozen=True)
-class Coalition:
-    """Subset of feature indices packed into a bitmask."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.n <= 63:
-            raise DataError(f"coalition arity must lie in [0, 63], got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise DataError(f"mask {self.mask:#x} has bits beyond arity {self.n}")
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> "Coalition":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise DataError(f"feature index {i} out of range for arity {n}")
-            mask |= 1 << i
-        return cls(mask, n)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-    def add(self, i: int) -> "Coalition":
-        return Coalition(self.mask | (1 << i), self.n)
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """A characteristic function bound to a train/test split."""
@@ -177,44 +133,53 @@ class GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class PayoffTable:
-    """Payoffs for coalitions of one game, ∅ stored analytically as 0."""
+    """Payoffs of one game for all 2^n coalitions, ∅ stored analytically as 0.
+
+    `values` is a read-only float64 array indexed by coalition bitmask (bit i
+    set means feature i is in the coalition).  It may be given as such an
+    array or as a complete mask → payoff mapping.
+    """
 
     n: int
-    payoffs: Mapping[int, float]
+    values: np.ndarray
     target: Target
     strategy: Strategy | None
     feature_names: tuple[str, ...]
     trainings: int
 
     def __post_init__(self):
-        if 0 not in self.payoffs or self.payoffs[0] != 0.0:
+        size = 1 << self.n
+        given = self.values
+        if isinstance(given, Mapping):
+            for mask in given:
+                if not 0 <= mask < size:
+                    raise DataError(f"mask {mask:#x} out of range for arity {self.n}")
+            values = np.full(size, np.nan)
+            values[list(given)] = list(given.values())
+        else:
+            values = np.asarray(given, dtype=np.float64).view()
+        if values.shape != (size,):
+            raise DataError(f"payoff table needs {size} values, got shape {values.shape}")
+        if values[0] != 0.0:
             raise DataError("payoff table must store υ(∅) == 0")
-        for mask, value in self.payoffs.items():
-            if not 0 <= mask < (1 << self.n):
-                raise DataError(f"mask {mask:#x} out of range for arity {self.n}")
-            if not np.isfinite(value):
-                raise DataError(f"payoff for mask {mask:#x} is not finite")
+        if isinstance(given, Mapping) and len(given) != size:
+            raise IncompleteTable(f"table holds {len(given)} of {size} coalitions")
+        if not np.isfinite(values).all():
+            raise DataError("payoff table holds a non-finite payoff")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
-    def __getitem__(self, c: int | Coalition) -> float:
-        mask = c.mask if isinstance(c, Coalition) else int(c)
-        return self.payoffs[mask]
+    @property
+    def payoffs(self) -> dict[int, float]:
+        """The payoffs as a fresh mask → payoff dict."""
+        return dict(enumerate(self.values.tolist()))
+
+    def __getitem__(self, mask: int) -> float:
+        return float(self.values[mask])
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def is_complete(self) -> bool:
-        return len(self.payoffs) == 1 << self.n
-
-    def rows(self) -> list[tuple[int, str, float]]:
-        """(bitmask, member names joined by '+', payoff) per coalition."""
-        out = []
-        for mask in sorted(self.payoffs):
-            members = "+".join(
-                self.feature_names[i] for i in range(self.n) if mask >> i & 1
-            )
-            out.append((mask, members, self.payoffs[mask]))
-        return out
 
 
 class PayoffEngine:
@@ -237,6 +202,8 @@ class PayoffEngine:
 
     def _build_curve(self, mask: int):
         spec = self.spec
+        if mask >> spec.n:
+            raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
         indices = [i for i in range(spec.n) if mask >> i & 1]
         train = project(spec.train, indices)
         test = project(spec.test, indices)
@@ -258,17 +225,21 @@ class PayoffEngine:
             return None
 
     def payoff(self, mask: int, abscissa: float | None = None) -> float:
-        """υ(coalition) for this engine's target, at an optional override abscissa."""
+        """Memoized `evaluate` at a scalar abscissa (default: the target's)."""
         if mask == 0:
             return 0.0
         if abscissa is None:
             abscissa = self.spec.target.abscissa
         key = (mask, abscissa)
         if key not in self._payoffs:
-            self._payoffs[key] = self._compute(mask, abscissa)
+            self._payoffs[key] = self.evaluate(mask, abscissa)
         return self._payoffs[key]
 
-    def _compute(self, mask: int, abscissa: float | None) -> float:
+    def evaluate(self, mask: int, abscissa):
+        """υ(coalition) at a scalar abscissa (None for area targets) or at
+        each of an array of abscissae, without memoizing the payoff."""
+        if mask == 0:
+            return 0.0
         curve = self.curve(mask)
         if curve is None:
             return 0.0
@@ -284,11 +255,12 @@ class PayoffEngine:
         return estimate_precision(curve, abscissa, self.spec.strategy) - 0.5
 
 
-def payoff(spec: GameSpec, c: Coalition) -> float:
-    """One-shot payoff of a single coalition."""
-    if c.n != spec.n:
-        raise DataError(f"coalition arity {c.n} != game arity {spec.n}")
-    return PayoffEngine(spec).payoff(c.mask)
+def _payoff_array(engine: PayoffEngine, abscissa, shape) -> np.ndarray:
+    """Payoffs of every coalition along the last axis of a `shape` array."""
+    values = np.zeros(shape)
+    for mask in range(1, shape[-1]):
+        values[..., mask] = engine.evaluate(mask, abscissa)
+    return values
 
 
 def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
@@ -299,9 +271,9 @@ def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
     if spec.target.is_slice and spec.target.abscissa is None:
         raise DataError(f"{spec.target.kind} game needs an abscissa")
     engine = PayoffEngine(spec)
-    payoffs = {mask: engine.payoff(mask) for mask in range(1 << n)}
+    values = _payoff_array(engine, spec.target.abscissa, (1 << n,))
     return PayoffTable(
-        n, payoffs, spec.target, spec.strategy, spec.train.feature_names,
+        n, values, spec.target, spec.strategy, spec.train.feature_names,
         engine.trainings,
     )
 
@@ -309,25 +281,23 @@ def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
 def evaluate_slices(
     spec: GameSpec, grid: np.ndarray, cap: int = EXACT_MODE_CAP
 ) -> list[PayoffTable]:
-    """One complete payoff table per grid abscissa, sharing all trained models."""
+    """One complete payoff table per grid abscissa, sharing all trained models.
+
+    The tables' `values` are the rows of one (grid, 2^n) payoff matrix.
+    """
     if not spec.target.is_slice:
         raise DataError(f"evaluate_slices needs a slice target, got {spec.target.kind}")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DataError("grid must be a non-empty 1-D array")
-    if (grid < 0.0).any() or (grid > 1.0).any():
-        raise DataError("grid abscissae must lie in [0, 1]")
+    grid = check_grid(grid)
     n = spec.n
     if n > cap:
         raise TooManyFeaturesForExactMode(n, cap)
     engine = PayoffEngine(spec)
-    per_point: list[dict[int, float]] = []
-    for q in grid:
-        per_point.append({mask: engine.payoff(mask, float(q)) for mask in range(1 << n)})
+    matrix = _payoff_array(engine, grid, (grid.size, 1 << n))
+    matrix.setflags(write=False)
     return [
         PayoffTable(
-            n, payoffs, spec.target.with_abscissa(float(q)), spec.strategy,
+            n, row, spec.target.with_abscissa(float(q)), spec.strategy,
             spec.train.feature_names, engine.trainings,
         )
-        for q, payoffs in zip(grid, per_point)
+        for q, row in zip(grid, matrix)
     ]

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DataError
 from .game import PRC_SLICE, ROC_SLICE, PayoffTable
 from .shapley import Attribution, CurveAttribution
-from .uncertainty import BandedSeries, McAttribution
+from .uncertainty import BandedSeries, McAttribution, McCurveAttribution
 
 EFFICIENCY_TOL = 1e-9
 GAP_TOL = 1e-9
@@ -92,6 +92,19 @@ def banded_rows(b: BandedSeries, x_name: str = "fpr"):
     return header, rows
 
 
+def slice_band_rows(mcca: McCurveAttribution):
+    header = ["fpr" if mcca.kind == ROC_SLICE else "recall"]
+    for name in mcca.feature_names:
+        header += [f"mean_{name}", f"std_{name}"]
+    rows = []
+    for j, q in enumerate(mcca.abscissae):
+        row = [float(q)]
+        for i in range(len(mcca.feature_names)):
+            row += [float(mcca.mean[i, j]), float(mcca.std[i, j])]
+        rows.append(row)
+    return header, rows
+
+
 def mc_attribution_rows(mca: McAttribution):
     header = ["feature", "mean_phi", "std_phi"]
     rows = [
@@ -102,8 +115,14 @@ def mc_attribution_rows(mca: McAttribution):
 
 
 def payoff_rows(table: PayoffTable):
+    """(bitmask, member names joined by '+', payoff) per coalition."""
     header = ["coalition_mask", "members", "payoff"]
-    return header, table.rows()
+    names = table.feature_names
+    rows = [
+        (mask, "+".join(n for i, n in enumerate(names) if mask >> i & 1), value)
+        for mask, value in enumerate(table.values.tolist())
+    ]
+    return header, rows
 
 
 def curve_rows(x: np.ndarray, y: np.ndarray, x_name: str, y_name: str):

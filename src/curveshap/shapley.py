@@ -13,8 +13,8 @@ from math import factorial
 
 import numpy as np
 
-from .curves import trapezoid
-from .errors import DataError, GridTooCoarse, IncompleteTable
+from .curves import check_grid, trapezoid
+from .errors import DataError, GridTooCoarse
 from .game import GameSpec, PayoffEngine, PayoffTable, Target
 
 EFFICIENCY_TOL = 1e-9
@@ -101,33 +101,39 @@ def _subset_weights(n: int) -> np.ndarray:
     )
 
 
+def _shapley_map(payoffs: np.ndarray) -> np.ndarray:
+    """Shapley values, shape (n, m), of m stacked payoff vectors, shape (m, 2^n).
+
+    The weights are rebuilt per call in O(2^n): a cached (n, 2^n) weight
+    matrix would take 160 MB at the exact-mode cap.
+    """
+    m, size = payoffs.shape
+    n = size.bit_length() - 1
+    masks = np.arange(size, dtype=np.int64)
+    sizes = np.zeros(size, dtype=np.int64)
+    for i in range(n):
+        sizes += (masks >> i) & 1
+    weights = _subset_weights(n)
+    values = np.empty((n, m))
+    for i in range(n):
+        without = masks[(masks >> i & 1) == 0]
+        # np.take keeps rows C-contiguous, so each row sums pairwise exactly
+        # as a single table's payoff vector would.
+        with_i = np.take(payoffs, without | (1 << i), axis=1)
+        gains = with_i - np.take(payoffs, without, axis=1)
+        values[i] = np.sum(weights[sizes[without]] * gains, axis=1)
+    return values
+
+
 def shapley_exact(t: PayoffTable) -> Attribution:
     """Shapley values of a complete payoff table.
 
     φ_i = Σ_{A ⊆ N\\{i}} |A|! (n-|A|-1)! / n! · (υ(A∪{i}) − υ(A))
     """
-    if not t.is_complete():
-        raise IncompleteTable(
-            f"table holds {len(t.payoffs)} of {1 << t.n} coalitions"
-        )
-    n = t.n
-    size = 1 << n
-    v = np.empty(size)
-    for mask in range(size):
-        v[mask] = t.payoffs[mask]
-    masks = np.arange(size, dtype=np.int64)
-    sizes = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        sizes += (masks >> i) & 1
-    weights = _subset_weights(n) if n else np.empty(0)
-    values = np.empty(n)
-    for i in range(n):
-        without = masks[(masks >> i & 1) == 0]
-        gains = v[without | (1 << i)] - v[without]
-        values[i] = float(np.sum(weights[sizes[without]] * gains))
+    values = _shapley_map(t.values[np.newaxis])[:, 0]
     baseline = t.target.baseline()
     return Attribution(
-        t.feature_names, values, baseline, baseline + v[size - 1], t.target
+        t.feature_names, values, baseline, baseline + t[t.full_mask], t.target
     )
 
 
@@ -202,11 +208,7 @@ def shapley_sampled_curve(
         raise DataError(f"samples must be ≥ 1, got {samples}")
     if not spec.target.is_slice:
         raise DataError(f"sampled curve needs a slice target, got {spec.target.kind}")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DataError("grid must be a non-empty 1-D array")
-    if (grid < 0.0).any() or (grid > 1.0).any():
-        raise DataError("grid abscissae must lie in [0, 1]")
+    grid = check_grid(grid)
     n = spec.n
     if n == 0:
         raise DataError("cannot attribute a game with no features")
@@ -241,14 +243,12 @@ def shapley_curve(tables: list[PayoffTable]) -> CurveAttribution:
             raise DataError("tables disagree on features")
         if t.target.kind != first.target.kind:
             raise DataError("tables disagree on target kind")
-    attrs = [shapley_exact(t) for t in tables]
     abscissae = np.array([t.target.abscissa for t in tables])
-    values = np.stack([a.values for a in attrs], axis=1)
-    reference = np.array([a.total for a in attrs])
-    baselines = np.array([a.baseline for a in attrs])
+    baselines = np.array([t.target.baseline() for t in tables])
+    payoffs = np.stack([t.values for t in tables])
     return CurveAttribution(
-        first.feature_names, abscissae, values, reference, baselines,
-        first.target.kind,
+        first.feature_names, abscissae, _shapley_map(payoffs),
+        baselines + payoffs[:, -1], baselines, first.target.kind,
     )
 
 

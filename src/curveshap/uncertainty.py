@@ -14,6 +14,7 @@ import numpy as np
 
 from .curves import (
     Strategy,
+    check_grid,
     default_grid,
     estimate_precision,
     estimate_tpr,
@@ -42,8 +43,8 @@ class McConfig:
             raise DataError(f"iterations must be ≥ 2, got {self.iterations}")
         if self.base_seed < 0:
             raise DataError("base_seed must be non-negative")
-        grid = np.asarray(self.grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
+        grid = check_grid(self.grid)
+        if grid.size < 2:
             raise DataError("grid must hold at least 2 abscissae")
         object.__setattr__(self, "grid", grid)
 
@@ -119,14 +120,10 @@ def mc_curves(d: Dataset, cfg: McConfig, kind: str = "roc") -> BandedSeries:
         scores = train_gnb(train).score(test)
         if kind == "roc":
             curve = roc_from_scores(scores, test.labels)
-            rows[k] = [
-                estimate_tpr(curve, q, Strategy.INTERPOLATION) for q in cfg.grid
-            ]
+            rows[k] = estimate_tpr(curve, cfg.grid, Strategy.INTERPOLATION)
         else:
             curve = pr_from_scores(scores, test.labels)
-            rows[k] = [
-                estimate_precision(curve, q, Strategy.INTERPOLATION) for q in cfg.grid
-            ]
+            rows[k] = estimate_precision(curve, cfg.grid, Strategy.INTERPOLATION)
     return BandedSeries(cfg.grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
 
 

@@ -367,6 +367,37 @@ class TestReplay:
         assert run(["replay", str(path)]) == 3
         assert "unknown command" in last_error(capsys)["message"]
 
+    @staticmethod
+    def edited_manifest(tmp_path, edit):
+        """Manifest of a fresh explain-auc run, edited, re-targeted to a new out."""
+        run([
+            "explain-auc", "--data", BANKNOTE, "--label-column", "class",
+            "--out", str(tmp_path / "run"),
+        ])
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest["out"] = str(tmp_path / "replayed")
+        edit(manifest)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        return path
+
+    def test_manifest_missing_key(self, tmp_path, capsys):
+        path = self.edited_manifest(tmp_path, lambda m: m.pop("data"))
+        capsys.readouterr()
+        assert run(["replay", str(path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "--data" in json.loads(err[0])["message"]
+
+    def test_manifest_values_are_validated(self, tmp_path, capsys):
+        path = self.edited_manifest(tmp_path, lambda m: m.update(sampled=0))
+        capsys.readouterr()
+        assert run(["replay", str(path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "--sampled" in json.loads(err[0])["message"]
+        assert not (tmp_path / "replayed").exists()
+
     def test_manifest_is_sorted_json(self, tmp_path):
         out = tmp_path / "run"
         run([

@@ -153,6 +153,30 @@ class TestEstimatePrecision:
             assert estimate_precision(c, 0.05, s) == 0.9
 
 
+class TestArrayQueries:
+    def test_array_matches_scalar_queries(self):
+        # tied scores collapse into one step; the two top positives make a
+        # vertical segment, i.e. a repeated fpr abscissa of 0
+        scores = [0.9, 0.85, 0.6, 0.6, 0.6, 0.3, 0.3, 0.1]
+        labels = [1, 1, 0, 1, 0, 1, 0, 0]
+        roc = roc_from_scores(scores, labels)
+        assert roc.fpr[1] == roc.fpr[2] == 0.0
+        # a PR span that starts at recall 0.2, so some queries lie below it
+        recall = np.array([0.2, 0.6, 0.6, 1.0])
+        precision = np.array([0.9, 0.7, 0.8, 0.5])
+        pr = PrCurve(recall, precision, trapezoid(precision, recall))
+        queries = np.concatenate([[-0.5, 0.05, 0.2], default_grid(), roc.fpr, [1.5]])
+        for s in STRATEGIES:
+            np.testing.assert_array_equal(
+                estimate_tpr(roc, queries, s),
+                [estimate_tpr(roc, float(q), s) for q in queries],
+            )
+            np.testing.assert_array_equal(
+                estimate_precision(pr, queries, s),
+                [estimate_precision(pr, float(q), s) for q in queries],
+            )
+
+
 class TestGrid:
     def test_default_is_101_points(self):
         g = default_grid()

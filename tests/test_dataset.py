@@ -172,11 +172,6 @@ class TestProject:
         assert p.n_rows == blobs.n_rows
         np.testing.assert_array_equal(p.labels, blobs.labels)
 
-    def test_accepts_coalition(self, banknote):
-        c = cs.Coalition.from_indices([1, 3], banknote.n_features)
-        p = cs.project(banknote, c)
-        assert p.feature_names == ("skewness", "entropy")
-
     def test_out_of_range(self, blobs):
         with pytest.raises(errors.IndexOutOfRange):
             cs.project(blobs, [5])

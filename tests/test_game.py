@@ -6,7 +6,6 @@ from curveshap import errors
 from curveshap.curves import Strategy, default_grid, estimate_tpr
 from curveshap.game import (
     EXACT_MODE_CAP,
-    Coalition,
     DegenerateCurveWarning,
     GameSpec,
     PayoffEngine,
@@ -14,8 +13,8 @@ from curveshap.game import (
     Target,
     evaluate_all,
     evaluate_slices,
-    payoff,
 )
+from curveshap.report import payoff_rows
 
 
 @pytest.fixture(scope="module")
@@ -66,33 +65,6 @@ class TestTarget:
             Target.auc().with_abscissa(0.5)
 
 
-class TestCoalition:
-    def test_round_trip(self):
-        c = Coalition.from_indices([0, 2], 4)
-        assert c.mask == 0b0101
-        assert c.indices() == (0, 2)
-        assert len(c) == 2
-        assert 2 in c and 1 not in c
-        assert list(c) == [0, 2]
-
-    def test_empty_and_full(self):
-        assert Coalition.empty(4).mask == 0
-        assert Coalition.full(4).mask == 0b1111
-        assert len(Coalition.full(4)) == 4
-
-    def test_add(self):
-        c = Coalition.empty(3).add(1).add(2)
-        assert c.indices() == (1, 2)
-
-    def test_mask_beyond_arity(self):
-        with pytest.raises(errors.DataError):
-            Coalition(0b100, 2)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(errors.DataError):
-            Coalition.from_indices([4], 4)
-
-
 class TestGameSpec:
     def test_slice_requires_strategy(self, banknote_split):
         train, test = banknote_split
@@ -108,10 +80,10 @@ class TestGameSpec:
 class TestPayoff:
     def test_empty_coalition_is_analytic_zero(self, auc_spec, roc_spec):
         for spec in (auc_spec, roc_spec):
-            assert payoff(spec, Coalition.empty(4)) == 0.0
+            assert PayoffEngine(spec).payoff(0) == 0.0
 
     def test_grand_coalition_auc(self, auc_spec):
-        v = payoff(auc_spec, Coalition.full(4))
+        v = PayoffEngine(auc_spec).payoff(0b1111)
         # reported grand-coalition AUC is 94.03%; splits differ by a couple
         # of points, so the payoff sits near 0.44
         assert 0.40 <= v <= 0.48
@@ -126,11 +98,11 @@ class TestPayoff:
 
     def test_arity_mismatch(self, auc_spec):
         with pytest.raises(errors.DataError):
-            payoff(auc_spec, Coalition.full(3))
+            PayoffEngine(auc_spec).payoff(1 << 4)
 
     def test_determinism(self, auc_spec):
-        c = Coalition.from_indices([0, 3], 4)
-        assert payoff(auc_spec, c) == payoff(auc_spec, c)
+        mask = 0b1001
+        assert PayoffEngine(auc_spec).payoff(mask) == PayoffEngine(auc_spec).payoff(mask)
 
     def test_memoized_payoff_is_not_retrained(self, auc_spec):
         engine = PayoffEngine(auc_spec)
@@ -145,7 +117,7 @@ class TestEvaluateAll:
         t = evaluate_all(auc_spec)
         assert len(t.payoffs) == 16
         assert t[0] == 0.0
-        assert t.is_complete()
+        assert t.values.shape == (16,)
         assert t.trainings == 15
 
     def test_single_feature_game(self, banknote_split):
@@ -175,7 +147,8 @@ class TestEvaluateAll:
 
     def test_rows_name_members(self, auc_spec):
         t = evaluate_all(auc_spec)
-        named = dict((mask, members) for mask, members, _ in t.rows())
+        _, rows = payoff_rows(t)
+        named = dict((mask, members) for mask, members, _ in rows)
         assert named[0] == ""
         assert named[0b0101] == "variance+kurtosis"
         assert named[t.full_mask] == "variance+skewness+kurtosis+entropy"
@@ -187,7 +160,7 @@ class TestEvaluateSlices:
         tables = evaluate_slices(roc_spec, grid)
         assert len(tables) == 101
         assert all(t.trainings == 15 for t in tables)
-        assert all(t.is_complete() for t in tables)
+        assert all(t.values.shape == (16,) for t in tables)
 
     def test_single_point_matches_direct(self, roc_spec):
         (table,) = evaluate_slices(roc_spec, np.array([0.2]))
@@ -231,10 +204,14 @@ class TestPayoffTable:
         with pytest.raises(errors.DataError):
             PayoffTable(1, {0: 0.0, 1: float("nan")}, Target.auc(), None, ("a",), 1)
 
-    def test_getitem_accepts_coalition(self, auc_spec):
+    def test_rejects_mask_beyond_arity(self):
+        with pytest.raises(errors.DataError):
+            PayoffTable(1, {0: 0.0, 1: 0.2, 2: 0.3}, Target.auc(), None, ("a",), 1)
+
+    def test_values_are_read_only(self, auc_spec):
         t = evaluate_all(auc_spec)
-        c = Coalition.from_indices([0, 1], 4)
-        assert t[c] == t[c.mask]
+        with pytest.raises(ValueError):
+            t.values[1] = 0.0
 
 
 class TestDegenerateCoalitions:

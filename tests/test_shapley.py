@@ -58,9 +58,9 @@ class TestExact:
         assert attr.values[0] == pytest.approx(0.3)
 
     def test_incomplete_table(self):
-        t = table_from_dict({0b00: 0.0, 0b01: 0.2}, 2)
+        # completeness is enforced when the table is built
         with pytest.raises(errors.IncompleteTable):
-            shapley_exact(t)
+            table_from_dict({0b00: 0.0, 0b01: 0.2}, 2)
 
     def test_efficiency_on_banknote(self, banknote_auc_table):
         attr = shapley_exact(banknote_auc_table)
@@ -76,12 +76,21 @@ class TestExact:
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 100_000), n=st.integers(1, 5))
-def test_exact_matches_all_permutation_oracle(seed, n):
-    payoffs = random_game(np.random.default_rng(seed), n)
-    attr = shapley_exact(table_from_dict(payoffs, n))
-    expected = shapley_all_permutations(payoffs, n)
-    np.testing.assert_allclose(attr.values, expected, atol=1e-12)
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 5), points=st.integers(1, 5))
+def test_exact_matches_all_permutation_oracle(seed, n, points):
+    """Both shapley_exact and one shapley_curve over a stack of tables."""
+    rng = np.random.default_rng(seed)
+    games = [random_game(rng, n) for _ in range(points)]
+    names = tuple(f"f{i}" for i in range(n))
+    tables = [
+        PayoffTable(n, payoffs, Target.roc_slice(k / 5), None, names, 0)
+        for k, payoffs in enumerate(games)
+    ]
+    curve = shapley_curve(tables)
+    for k, payoffs in enumerate(games):
+        expected = shapley_all_permutations(payoffs, n)
+        np.testing.assert_allclose(shapley_exact(tables[k]).values, expected, atol=1e-12)
+        np.testing.assert_allclose(curve.values[:, k], expected, atol=1e-12)
 
 
 @settings(max_examples=30)

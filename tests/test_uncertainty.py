@@ -37,6 +37,8 @@ class TestMcConfig:
     def test_grid_validation(self):
         with pytest.raises(errors.DataError):
             McConfig(iterations=2, grid=np.array([0.5]))
+        with pytest.raises(errors.DataError):
+            McConfig(iterations=2, grid=np.array([0.5, 1.5]))
 
 
 class TestMcCurves:

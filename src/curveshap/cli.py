@@ -195,6 +195,8 @@ def _load(params: dict) -> Dataset:
         d = load_csv(params["data"], params["label_column"])
     except OSError as exc:
         raise DataError(f"cannot read {params['data']}: {exc}") from exc
+    if d.n_features == 0:
+        raise DataError(f"{params['data']} has no feature columns")
     if params.get("imbalance") is not None:
         d = subsample_imbalance(
             d, ImbalanceSpec(params["imbalance"], params["seed"])

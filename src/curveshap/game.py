@@ -183,24 +183,60 @@ class PayoffTable:
 
 
 class PayoffEngine:
-    """Trains at most one model per coalition and serves memoized payoffs.
+    """Trains at most one model per coalition and memoizes its payoff row.
 
-    Curves are cached per coalition, so slice games over a grid reuse every
-    trained model and only repeat the cheap estimation step.
+    The engine is bound to its abscissae when built: with no grid, the
+    target's own (None for area games, one scalar for a slice game), and
+    otherwise a grid of slice abscissae.  A coalition's payoff row is a float
+    for the former and one payoff per grid point for the latter.  Each
+    coalition's curve is built once, read at every abscissa and dropped;
+    only the row is kept, keyed by coalition bitmask.
     """
 
-    def __init__(self, spec: GameSpec):
+    def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
+        target = spec.target
+        if grid is None:
+            if target.is_slice and target.abscissa is None:
+                raise DataError(f"{target.kind} game needs an abscissa")
+            self.abscissae = target.abscissa
+            empty = 0.0
+        else:
+            if not target.is_slice:
+                raise DataError(f"a grid needs a slice target, got {target.kind}")
+            self.abscissae = check_grid(grid)
+            empty = np.zeros(self.abscissae.size)
+            empty.setflags(write=False)
         self.spec = spec
-        self._curves: dict[int, RocCurve | PrCurve | None] = {}
-        self._payoffs: dict[tuple[int, float | None], float] = {}
+        self._rows: dict[int, float | np.ndarray] = {0: empty}
         self.trainings = 0
 
-    def curve(self, mask: int) -> RocCurve | PrCurve | None:
-        if mask not in self._curves:
-            self._curves[mask] = self._build_curve(mask)
-        return self._curves[mask]
+    def payoff(self, mask: int) -> float | np.ndarray:
+        """υ(coalition) at the engine's abscissae, memoized by mask."""
+        row = self._rows.get(mask)
+        if row is None:
+            row = self._rows[mask] = self._read(self.curve(mask))
+        return row
 
-    def _build_curve(self, mask: int):
+    def _read(self, curve: RocCurve | PrCurve | None) -> float | np.ndarray:
+        if curve is None:
+            return self._rows[0]    # zero, like the empty coalition
+        kind = self.spec.target.kind
+        if kind == AUC:
+            return curve.auc - 0.5
+        if kind == AUPRC:
+            return curve.auprc - 0.5
+        q = self.abscissae
+        if kind == ROC_SLICE:
+            row = estimate_tpr(curve, q, self.spec.strategy) - q
+        else:
+            row = estimate_precision(curve, q, self.spec.strategy) - 0.5
+        if isinstance(row, np.ndarray):
+            row.setflags(write=False)
+        return row
+
+    def curve(self, mask: int) -> RocCurve | PrCurve | None:
+        """Train on the coalition and build its curve afresh (not memoized);
+        None, with a DegenerateCurveWarning, if its scores admit no curve."""
         spec = self.spec
         if mask >> spec.n:
             raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
@@ -224,56 +260,25 @@ class PayoffEngine:
             )
             return None
 
-    def payoff(self, mask: int, abscissa: float | None = None) -> float:
-        """Memoized `evaluate` at a scalar abscissa (default: the target's)."""
-        if mask == 0:
-            return 0.0
-        if abscissa is None:
-            abscissa = self.spec.target.abscissa
-        key = (mask, abscissa)
-        if key not in self._payoffs:
-            self._payoffs[key] = self.evaluate(mask, abscissa)
-        return self._payoffs[key]
 
-    def evaluate(self, mask: int, abscissa):
-        """υ(coalition) at a scalar abscissa (None for area targets) or at
-        each of an array of abscissae, without memoizing the payoff."""
-        if mask == 0:
-            return 0.0
-        curve = self.curve(mask)
-        if curve is None:
-            return 0.0
-        kind = self.spec.target.kind
-        if kind == AUC:
-            return curve.auc - 0.5
-        if kind == AUPRC:
-            return curve.auprc - 0.5
-        if abscissa is None:
-            raise DataError(f"{kind} game needs an abscissa")
-        if kind == ROC_SLICE:
-            return estimate_tpr(curve, abscissa, self.spec.strategy) - abscissa
-        return estimate_precision(curve, abscissa, self.spec.strategy) - 0.5
-
-
-def _payoff_array(engine: PayoffEngine, abscissa, shape) -> np.ndarray:
-    """Payoffs of every coalition along the last axis of a `shape` array."""
-    values = np.zeros(shape)
-    for mask in range(1, shape[-1]):
-        values[..., mask] = engine.evaluate(mask, abscissa)
-    return values
+def _payoff_matrix(
+    spec: GameSpec, grid: np.ndarray | None, cap: int
+) -> tuple[PayoffEngine, np.ndarray]:
+    """Every coalition's payoff row, stacked along a last axis of length 2^n."""
+    n = spec.n
+    if n > cap:
+        raise TooManyFeaturesForExactMode(n, cap)
+    engine = PayoffEngine(spec, grid)
+    matrix = np.stack([engine.payoff(mask) for mask in range(1 << n)], axis=-1)
+    matrix.setflags(write=False)
+    return engine, matrix
 
 
 def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
     """Payoffs for every one of the 2^n coalitions."""
-    n = spec.n
-    if n > cap:
-        raise TooManyFeaturesForExactMode(n, cap)
-    if spec.target.is_slice and spec.target.abscissa is None:
-        raise DataError(f"{spec.target.kind} game needs an abscissa")
-    engine = PayoffEngine(spec)
-    values = _payoff_array(engine, spec.target.abscissa, (1 << n,))
+    engine, values = _payoff_matrix(spec, None, cap)
     return PayoffTable(
-        n, values, spec.target, spec.strategy, spec.train.feature_names,
+        spec.n, values, spec.target, spec.strategy, spec.train.feature_names,
         engine.trainings,
     )
 
@@ -285,19 +290,11 @@ def evaluate_slices(
 
     The tables' `values` are the rows of one (grid, 2^n) payoff matrix.
     """
-    if not spec.target.is_slice:
-        raise DataError(f"evaluate_slices needs a slice target, got {spec.target.kind}")
-    grid = check_grid(grid)
-    n = spec.n
-    if n > cap:
-        raise TooManyFeaturesForExactMode(n, cap)
-    engine = PayoffEngine(spec)
-    matrix = _payoff_array(engine, grid, (grid.size, 1 << n))
-    matrix.setflags(write=False)
+    engine, matrix = _payoff_matrix(spec, grid, cap)
     return [
         PayoffTable(
-            n, row, spec.target.with_abscissa(float(q)), spec.strategy,
+            spec.n, row, spec.target.with_abscissa(float(q)), spec.strategy,
             spec.train.feature_names, engine.trainings,
         )
-        for q, row in zip(grid, matrix)
+        for q, row in zip(engine.abscissae, matrix)
     ]

@@ -125,12 +125,6 @@ def payoff_rows(table: PayoffTable):
     return header, rows
 
 
-def curve_rows(x: np.ndarray, y: np.ndarray, x_name: str, y_name: str):
-    header = [x_name, y_name]
-    rows = [(float(a), float(b)) for a, b in zip(x, y)]
-    return header, rows
-
-
 # ----------------------------------------------------------------------
 # Plot documents
 # ----------------------------------------------------------------------

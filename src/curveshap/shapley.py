@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .curves import check_grid, trapezoid
+from .curves import trapezoid
 from .errors import DataError, GridTooCoarse
 from .game import GameSpec, PayoffEngine, PayoffTable, Target
 
@@ -137,6 +137,34 @@ def shapley_exact(t: PayoffTable) -> Attribution:
     )
 
 
+def _sampled_engine(
+    spec: GameSpec, samples: int, grid: np.ndarray | None = None
+) -> PayoffEngine:
+    """The payoff engine of a sampled estimate, after the checks both share."""
+    if samples < 1:
+        raise DataError(f"samples must be ≥ 1, got {samples}")
+    if spec.n == 0:
+        raise DataError("cannot attribute a game with no features")
+    return PayoffEngine(spec, grid)
+
+
+def _mean_marginals(engine: PayoffEngine, perms, k: int | None = None) -> np.ndarray:
+    """Each feature's marginal payoff averaged over `perms`, read from the
+    engine's payoff rows (at grid point k, for an engine bound to a grid)."""
+    gains = np.zeros(engine.spec.n)
+    for perm in perms:
+        mask = 0
+        previous = 0.0
+        for i in perm:
+            mask |= 1 << int(i)
+            value = engine.payoff(mask)
+            if k is not None:
+                value = value[k]
+            gains[int(i)] += value - previous
+            previous = value
+    return gains / len(perms)
+
+
 def shapley_sampled(
     spec: GameSpec,
     samples: int,
@@ -151,13 +179,8 @@ def shapley_sampled(
     cost nothing.  With `without_replacement` the permutations are distinct;
     sampling all n! of them reproduces the exact values.
     """
-    if samples < 1:
-        raise DataError(f"samples must be ≥ 1, got {samples}")
+    engine = _sampled_engine(spec, samples)
     n = spec.n
-    if n == 0:
-        raise DataError("cannot attribute a game with no features")
-    if spec.target.is_slice and spec.target.abscissa is None:
-        raise DataError(f"{spec.target.kind} game needs an abscissa")
     rng = np.random.default_rng(seed)
     if without_replacement:
         if n > _EXHAUSTIVE_ARITY_CAP:
@@ -174,26 +197,10 @@ def shapley_sampled(
     else:
         perms = [rng.permutation(n) for _ in range(samples)]
 
-    engine = PayoffEngine(spec)
-    values = _mean_marginals(engine, n, perms, None)
+    values = _mean_marginals(engine, perms)
     baseline = spec.target.baseline()
     total = baseline + engine.payoff((1 << n) - 1)
     return Attribution(spec.train.feature_names, values, baseline, total, spec.target)
-
-
-def _mean_marginals(
-    engine: PayoffEngine, n: int, perms, abscissa: float | None
-) -> np.ndarray:
-    gains = np.zeros(n)
-    for perm in perms:
-        mask = 0
-        previous = 0.0
-        for i in perm:
-            mask |= 1 << int(i)
-            value = engine.payoff(mask, abscissa)
-            gains[int(i)] += value - previous
-            previous = value
-    return gains / len(perms)
 
 
 def shapley_sampled_curve(
@@ -201,30 +208,19 @@ def shapley_sampled_curve(
 ) -> CurveAttribution:
     """Permutation-sampling analogue of evaluate_slices + shapley_curve.
 
-    One payoff engine serves every grid point, so models and curves are
-    trained once; point k draws its permutations from seed + k.
+    One payoff engine, bound to the grid, serves every grid point, so each
+    coalition is trained once; point k draws its permutations from seed + k.
     """
-    if samples < 1:
-        raise DataError(f"samples must be ≥ 1, got {samples}")
-    if not spec.target.is_slice:
-        raise DataError(f"sampled curve needs a slice target, got {spec.target.kind}")
-    grid = check_grid(grid)
+    engine = _sampled_engine(spec, samples, grid)
     n = spec.n
-    if n == 0:
-        raise DataError("cannot attribute a game with no features")
-    engine = PayoffEngine(spec)
-    full = (1 << n) - 1
+    grid = engine.abscissae
     values = np.empty((n, grid.size))
-    reference = np.empty(grid.size)
-    baselines = np.empty(grid.size)
-    for k, q in enumerate(grid):
-        q = float(q)
+    for k in range(grid.size):
         rng = np.random.default_rng(seed + k)
         perms = [rng.permutation(n) for _ in range(samples)]
-        values[:, k] = _mean_marginals(engine, n, perms, q)
-        point = spec.target.with_abscissa(q)
-        baselines[k] = point.baseline()
-        reference[k] = baselines[k] + engine.payoff(full, q)
+        values[:, k] = _mean_marginals(engine, perms, k)
+    baselines = np.array([spec.target.with_abscissa(float(q)).baseline() for q in grid])
+    reference = baselines + engine.payoff((1 << n) - 1)
     return CurveAttribution(
         spec.train.feature_names, grid, values, reference, baselines,
         spec.target.kind,

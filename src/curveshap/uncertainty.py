@@ -29,7 +29,7 @@ from .shapley import shapley_curve, shapley_exact
 from . import game
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McConfig:
     """Monte-Carlo cross-validation parameters."""
 

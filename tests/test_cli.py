@@ -117,6 +117,26 @@ class TestExplainAuc:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("explain-auc", []),
+    ("explain-auprc", []),
+    ("explain-roc", []),
+    ("explain-prc", []),
+    ("uncertainty", ["--iterations", "2"]),
+])
+def test_label_only_data_is_a_data_error(command, extra, tmp_path, capsys):
+    path = tmp_path / "labels.csv"
+    path.write_text("y\n" + "0\n1\n" * 10)
+    code = run([
+        command, "--data", str(path), "--label-column", "y",
+        "--out", str(tmp_path / "x"), *extra,
+    ])
+    assert code == 3
+    record = last_error(capsys)
+    assert record["error"] == "DataError"
+    assert "no feature columns" in record["message"]
+
+
 class TestExplainRoc:
     def test_grid_and_slice_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -6,6 +6,7 @@ from curveshap import errors
 from curveshap.curves import Strategy, default_grid, estimate_tpr
 from curveshap.game import (
     EXACT_MODE_CAP,
+    ROC_SLICE,
     DegenerateCurveWarning,
     GameSpec,
     PayoffEngine,
@@ -14,7 +15,9 @@ from curveshap.game import (
     evaluate_all,
     evaluate_slices,
 )
+from curveshap.model import train_gnb
 from curveshap.report import payoff_rows
+from curveshap.shapley import shapley_curve, shapley_sampled_curve
 
 
 @pytest.fixture(scope="module")
@@ -214,21 +217,22 @@ class TestPayoffTable:
             t.values[1] = 0.0
 
 
+class ConstantScorer:
+    def __init__(self, value):
+        self.value = value
+
+    def score(self, d):
+        return np.full(d.n_rows, self.value)
+
+
+def fit_nan(_):
+    return ConstantScorer(float("nan"))
+
+
 class TestDegenerateCoalitions:
     def test_single_class_test_scores_fall_back(self, banknote_split):
         """A constant-score coalition still yields a curve; a degenerate one warns."""
         train, test = banknote_split
-
-        class ConstantScorer:
-            def __init__(self, value):
-                self.value = value
-
-            def score(self, d):
-                return np.full(d.n_rows, self.value)
-
-        def fit_nan(_):
-            return ConstantScorer(float("nan"))
-
         spec = GameSpec(Target.auc(), train, test, fit=fit_nan)
         engine = PayoffEngine(spec)
         with pytest.warns(DegenerateCurveWarning):
@@ -246,3 +250,47 @@ class TestDegenerateCoalitions:
         engine = PayoffEngine(spec)
         assert engine.payoff(0b0001) == 0.0  # AUC 0.5 − 0.5, a real curve
         assert engine.curve(0b0001) is not None
+
+    def test_degenerate_grid_rows_are_zero(self, banknote_split):
+        train, test = banknote_split
+        spec = GameSpec(
+            Target(ROC_SLICE), train, test, strategy=Strategy.INTERPOLATION, fit=fit_nan
+        )
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.warns(DegenerateCurveWarning):
+            row = PayoffEngine(spec, grid).payoff(0b0101)
+        np.testing.assert_array_equal(row, np.zeros(5))
+        with pytest.warns(DegenerateCurveWarning):
+            tables = evaluate_slices(spec, grid)
+        for t in tables:
+            np.testing.assert_array_equal(t.values, np.zeros(16))
+        np.testing.assert_array_equal(shapley_curve(tables).values, np.zeros((4, 5)))
+
+    def test_degenerate_sampled_curve_is_zero(self, banknote_split):
+        train, test = banknote_split
+        spec = GameSpec(
+            Target(ROC_SLICE), train, test, strategy=Strategy.INTERPOLATION, fit=fit_nan
+        )
+        grid = np.linspace(0.0, 1.0, 5)
+        with pytest.warns(DegenerateCurveWarning):
+            ca = shapley_sampled_curve(spec, grid, samples=3, seed=0)
+        np.testing.assert_array_equal(ca.values, np.zeros((4, 5)))
+        np.testing.assert_array_equal(ca.reference, ca.baselines)
+
+    def test_only_degenerate_coalitions_are_zeroed(self, banknote_split):
+        """A coalition holding feature 0 is degenerate; the others keep their rows."""
+        train, test = banknote_split
+
+        def fit_nan_with_variance(d):
+            return fit_nan(d) if "variance" in d.feature_names else train_gnb(d)
+
+        spec = GameSpec(
+            Target(ROC_SLICE), train, test, strategy=Strategy.INTERPOLATION,
+            fit=fit_nan_with_variance,
+        )
+        grid = np.linspace(0.1, 0.9, 5)
+        with pytest.warns(DegenerateCurveWarning):
+            matrix = np.stack([t.values for t in evaluate_slices(spec, grid)])
+        with_variance = np.arange(16) & 1 == 1
+        np.testing.assert_array_equal(matrix[:, with_variance], 0.0)
+        assert (matrix[:, ~with_variance][:, 1:] != 0.0).any(axis=0).all()

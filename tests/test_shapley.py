@@ -204,6 +204,21 @@ class TestCurve:
         gap = curve.values.sum(axis=0) - (curve.reference - curve.baselines)
         assert np.max(np.abs(gap)) < 1e-9
 
+    @pytest.mark.parametrize("kind", ["roc_slice", "prc_slice"])
+    def test_sampled_curve_matches_scalar_path(self, banknote_split, kind):
+        """Grid point k of the sampled curve is the scalar sampled game at
+        grid[k] with seed + k, to the last bit."""
+        train, test = banknote_split
+        spec = GameSpec(Target(kind), train, test, strategy=Strategy.PESSIMISTIC)
+        grid = np.linspace(0.0, 1.0, 6)
+        seed = 7
+        curve = shapley_sampled_curve(spec, grid, samples=15, seed=seed)
+        for k, q in enumerate(grid):
+            point = GameSpec(Target(kind, float(q)), train, test, spec.strategy)
+            attr = shapley_sampled(point, samples=15, seed=seed + k)
+            np.testing.assert_array_equal(curve.values[:, k], attr.values)
+            assert curve.reference[k] == attr.total
+
 
 class TestConsistency:
     def test_banknote_discrepancy_small(self, banknote_split, banknote_auc_table):

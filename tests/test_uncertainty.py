@@ -40,6 +40,13 @@ class TestMcConfig:
         with pytest.raises(errors.DataError):
             McConfig(iterations=2, grid=np.array([0.5, 1.5]))
 
+    def test_compares_and_hashes_by_identity(self):
+        """The grid is an array, so configs compare by identity, not by value."""
+        cfg = McConfig(iterations=2)
+        assert cfg == cfg
+        assert cfg != McConfig(iterations=2)
+        assert {cfg: 1}[cfg] == 1
+
 
 class TestMcCurves:
     def test_roc_band_shape_and_bounds(self, banknote):

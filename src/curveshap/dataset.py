@@ -151,6 +151,8 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         header = [name.strip() for name in header]
         if label_column not in header:
             raise MissingColumn(label_column)
+        if header.count(label_column) > 1:
+            raise DuplicateFeatureName(label_column)
         label_idx = header.index(label_column)
         names = [n for i, n in enumerate(header) if i != label_idx]
 

@@ -25,7 +25,7 @@ from .curves import (
     pr_from_scores,
     roc_from_scores,
 )
-from .dataset import Dataset, project
+from .dataset import Dataset
 from .errors import (
     DataError,
     IncompleteTable,
@@ -112,7 +112,12 @@ class Target:
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """A characteristic function bound to a train/test split."""
+    """A characteristic function bound to a train/test split.
+
+    `fit` is called once per split, on `train`; the scorer it returns scores
+    one coalition with `score(test, columns)`, given the full-width test set
+    and the coalition's column indices.
+    """
 
     target: Target
     train: Dataset
@@ -145,7 +150,7 @@ class PayoffTable:
     target: Target
     strategy: Strategy | None
     feature_names: tuple[str, ...]
-    trainings: int
+    trainings: int          # coalitions the engine scored
 
     def __post_init__(self):
         size = 1 << self.n
@@ -183,14 +188,16 @@ class PayoffTable:
 
 
 class PayoffEngine:
-    """Trains at most one model per coalition and memoizes its payoff row.
+    """Fits one model for the split and memoizes each coalition's payoff row.
 
-    The engine is bound to its abscissae when built: with no grid, the
-    target's own (None for area games, one scalar for a slice game), and
-    otherwise a grid of slice abscissae.  A coalition's payoff row is a float
-    for the former and one payoff per grid point for the latter.  Each
-    coalition's curve is built once, read at every abscissa and dropped;
-    only the row is kept, keyed by coalition bitmask.
+    The fit runs when the engine is built; each coalition is then scored from
+    it by its own columns, with no refit.  The engine is bound to its
+    abscissae when built: with no grid, the target's own (None for area
+    games, one scalar for a slice game), and otherwise a grid of slice
+    abscissae.  A coalition's payoff row is a float for the former and one
+    payoff per grid point for the latter.  Each coalition's curve is built
+    once, read at every abscissa and dropped; only the row is kept, keyed by
+    coalition bitmask.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -207,8 +214,9 @@ class PayoffEngine:
             empty = np.zeros(self.abscissae.size)
             empty.setflags(write=False)
         self.spec = spec
+        self.scorer = spec.fit(spec.train)
         self._rows: dict[int, float | np.ndarray] = {0: empty}
-        self.trainings = 0
+        self.trainings = 0      # coalitions scored
 
     def payoff(self, mask: int) -> float | np.ndarray:
         """υ(coalition) at the engine's abscissae, memoized by mask."""
@@ -235,23 +243,20 @@ class PayoffEngine:
         return row
 
     def curve(self, mask: int) -> RocCurve | PrCurve | None:
-        """Train on the coalition and build its curve afresh (not memoized);
+        """Score the coalition and build its curve afresh (not memoized);
         None, with a DegenerateCurveWarning, if its scores admit no curve."""
         spec = self.spec
         if mask >> spec.n:
             raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
         indices = [i for i in range(spec.n) if mask >> i & 1]
-        train = project(spec.train, indices)
-        test = project(spec.test, indices)
-        scorer = spec.fit(train)
         self.trainings += 1
-        scores = np.asarray(scorer.score(test), dtype=np.float64)
+        scores = np.asarray(self.scorer.score(spec.test, indices), dtype=np.float64)
         try:
             if not np.isfinite(scores).all():
                 raise SingleClassLabels("scores contain non-finite values")
             if spec.target.kind in _ROC_KINDS:
-                return roc_from_scores(scores, test.labels)
-            return pr_from_scores(scores, test.labels)
+                return roc_from_scores(scores, spec.test.labels)
+            return pr_from_scores(scores, spec.test.labels)
         except (SingleClassLabels, NoPositiveLabels) as exc:
             warnings.warn(
                 f"coalition {mask:#x} has no valid curve ({exc}); payoff set to 0",
@@ -286,7 +291,7 @@ def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
 def evaluate_slices(
     spec: GameSpec, grid: np.ndarray, cap: int = EXACT_MODE_CAP
 ) -> list[PayoffTable]:
-    """One complete payoff table per grid abscissa, sharing all trained models.
+    """One complete payoff table per grid abscissa, sharing one fit.
 
     The tables' `values` are the rows of one (grid, 2^n) payoff matrix.
     """

@@ -209,7 +209,7 @@ def shapley_sampled_curve(
     """Permutation-sampling analogue of evaluate_slices + shapley_curve.
 
     One payoff engine, bound to the grid, serves every grid point, so each
-    coalition is trained once; point k draws its permutations from seed + k.
+    coalition is scored once; point k draws its permutations from seed + k.
     """
     engine = _sampled_engine(spec, samples, grid)
     n = spec.n

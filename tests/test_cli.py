@@ -137,6 +137,19 @@ def test_label_only_data_is_a_data_error(command, extra, tmp_path, capsys):
     assert "no feature columns" in record["message"]
 
 
+def test_label_column_named_twice_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text("a,class,class\n" + "0.5,0,0\n1.5,1,1\n" * 10)
+    code = run([
+        "explain-auc", "--data", str(path), "--label-column", "class",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 3
+    record = last_error(capsys)
+    assert record["error"] == "DuplicateFeatureName"
+    assert not (tmp_path / "x" / "attribution.csv").exists()
+
+
 class TestExplainRoc:
     def test_grid_and_slice_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -71,6 +71,12 @@ class TestLoadCsv:
         with pytest.raises(errors.DuplicateFeatureName):
             cs.load_csv(path, "y")
 
+    def test_duplicate_label_column(self, tmp_path):
+        # a second label column would be loaded as a feature named like it
+        path = write(tmp_path, "a,y,y\n1,0,0\n3,1,1\n")
+        with pytest.raises(errors.DuplicateFeatureName):
+            cs.load_csv(path, "y")
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,y\n1,0\n2\n")
         with pytest.raises(errors.DataError):

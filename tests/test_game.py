@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import errors
@@ -15,9 +17,11 @@ from curveshap.game import (
     evaluate_all,
     evaluate_slices,
 )
-from curveshap.model import train_gnb
+from curveshap.model import score, train_gnb
 from curveshap.report import payoff_rows
-from curveshap.shapley import shapley_curve, shapley_sampled_curve
+from curveshap.shapley import shapley_curve, shapley_sampled, shapley_sampled_curve
+
+from oracles import auc_rank_statistic
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +225,7 @@ class ConstantScorer:
     def __init__(self, value):
         self.value = value
 
-    def score(self, d):
+    def score(self, d, columns):
         return np.full(d.n_rows, self.value)
 
 
@@ -243,7 +247,7 @@ class TestDegenerateCoalitions:
         train, test = banknote_split
 
         class HalfScorer:
-            def score(self, d):
+            def score(self, d, columns):
                 return np.full(d.n_rows, 0.5)
 
         spec = GameSpec(Target.auc(), train, test, fit=lambda _: HalfScorer())
@@ -282,7 +286,14 @@ class TestDegenerateCoalitions:
         train, test = banknote_split
 
         def fit_nan_with_variance(d):
-            return fit_nan(d) if "variance" in d.feature_names else train_gnb(d)
+            gnb, nan = train_gnb(d), fit_nan(d)
+            variance = d.feature_index("variance")
+
+            class Scorer:
+                def score(self, test, columns):
+                    return (nan if variance in columns else gnb).score(test, columns)
+
+            return Scorer()
 
         spec = GameSpec(
             Target(ROC_SLICE), train, test, strategy=Strategy.INTERPOLATION,
@@ -294,3 +305,82 @@ class TestDegenerateCoalitions:
         with_variance = np.arange(16) & 1 == 1
         np.testing.assert_array_equal(matrix[:, with_variance], 0.0)
         assert (matrix[:, ~with_variance][:, 1:] != 0.0).any(axis=0).all()
+
+
+class CountingFit:
+    """train_gnb behind a call counter."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, d):
+        self.calls += 1
+        return train_gnb(d)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, grid: evaluate_all(spec),
+    lambda spec, grid: evaluate_slices(spec, grid),
+    lambda spec, grid: shapley_sampled(spec, samples=20, seed=0),
+    lambda spec, grid: shapley_sampled_curve(spec, grid, samples=20, seed=0),
+], ids=["evaluate_all", "evaluate_slices", "shapley_sampled", "shapley_sampled_curve"])
+def test_one_fit_per_game(run, banknote_split):
+    train, test = banknote_split
+    fit = CountingFit()
+    spec = GameSpec(
+        Target.roc_slice(0.2), train, test, strategy=Strategy.INTERPOLATION, fit=fit
+    )
+    run(spec, np.linspace(0.0, 1.0, 5))
+    assert fit.calls == 1
+
+
+COLUMN_KINDS = ("normal", "ties", "constant", "duplicate")
+
+
+def coalition_split(seed, columns):
+    """Train and test sets whose columns are of the given (kind, log10 scale)."""
+    rng = np.random.default_rng(seed)
+    rows = 40
+    labels = rng.integers(0, 2, rows)
+    labels[[0, 1, 30, 31]] = [0, 1, 0, 1]
+    features = np.empty((rows, len(columns)))
+    for j, (kind, exponent) in enumerate(columns):
+        scale = 10.0 ** exponent
+        if kind == "duplicate" and j > 0:
+            features[:, j] = features[:, j - 1]
+        elif kind == "ties":
+            features[:, j] = (rng.integers(0, 3, rows) + labels) * scale
+        elif kind == "constant":
+            features[:, j] = 7.0 * scale
+        else:
+            features[:, j] = (rng.normal(size=rows) + labels) * scale
+    names = tuple(f"f{j}" for j in range(len(columns)))
+    return (cs.Dataset(features[:30], labels[:30], names),
+            cs.Dataset(features[30:], labels[30:], names))
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 10_000),
+    columns=st.lists(
+        st.tuples(st.sampled_from(COLUMN_KINDS), st.integers(-6, 6)),
+        min_size=1, max_size=5,
+    ),
+)
+@example(seed=0, columns=[
+    ("ties", -6), ("constant", 0), ("duplicate", 0), ("normal", 6), ("normal", -3),
+])
+def test_coalition_scores_equal_a_refit(seed, columns):
+    """Scoring a coalition's columns of one fit is a refit on them, bit for bit,
+    and the engine's AUC payoffs are the rank statistic of those scores."""
+    train, test = coalition_split(seed, columns)
+    full = train_gnb(train)
+    engine = PayoffEngine(GameSpec(Target.auc(), train, test))
+    for mask in range(1 << len(columns)):
+        s = [i for i in range(len(columns)) if mask >> i & 1]
+        scores = score(full, test, s)
+        refit = score(train_gnb(cs.project(train, s)), cs.project(test, s))
+        np.testing.assert_array_equal(scores, refit)
+        if mask:
+            expected = auc_rank_statistic(refit, test.labels) - 0.5
+            assert abs(engine.payoff(mask) - expected) <= 1e-12

@@ -145,3 +145,28 @@ def test_scores_always_probabilities(seed):
     s = score(train_gnb(d), d)
     assert np.isfinite(s).all()
     assert (s >= 0.0).all() and (s <= 1.0).all()
+
+
+class TestScoreColumns:
+    def test_all_columns_are_the_full_model(self, banknote_split):
+        train, test = banknote_split
+        m = train_gnb(train)
+        np.testing.assert_array_equal(
+            score(m, test, range(test.n_features)), score(m, test)
+        )
+
+    def test_no_columns_are_the_prior_only_model(self, banknote_split):
+        train, test = banknote_split
+        prior_only = score(train_gnb(cs.project(train, [])), cs.project(test, []))
+        np.testing.assert_array_equal(score(train_gnb(train), test, []), prior_only)
+
+    def test_arity_mismatch_with_columns(self, blobs):
+        m = train_gnb(blobs)
+        with pytest.raises(errors.ArityMismatch):
+            score(m, cs.project(blobs, [0]), [0])
+
+    def test_column_out_of_range(self, blobs):
+        m = train_gnb(blobs)
+        for bad in (-1, blobs.n_features):
+            with pytest.raises(errors.IndexOutOfRange):
+                score(m, blobs, [0, bad])

@@ -39,7 +39,7 @@ from .shapley import (
     shapley_sampled,
     shapley_sampled_curve,
 )
-from .uncertainty import McConfig, mc_attributions, mc_curves
+from .uncertainty import McConfig, mc_bands
 
 MANIFEST_NAME = "manifest.json"
 
@@ -347,8 +347,10 @@ def run_uncertainty(params: dict) -> None:
         params["iterations"], params["seed"], params["train_fraction"],
         default_grid(params["grid_size"]),
     )
-    band = mc_curves(d, cfg, "roc")
-    mca = mc_attributions(d, cfg, Target.auc())
+    slices = bool(params.get("slices"))
+    targets = [Target.auc(), Target(game.ROC_SLICE)] if slices else [Target.auc()]
+    band, attributions = mc_bands(d, cfg, "roc", targets)
+    mca = attributions[0]
     out = _out_dir(params)
     header, rows = report.banded_rows(band, "fpr")
     report.write_csv(out / "roc_band.csv", header, rows)
@@ -376,8 +378,8 @@ def run_uncertainty(params: dict) -> None:
         f"(±{100.0 * mca.std[i]:.2f}%)"
         for i in order
     ]
-    if params.get("slices"):
-        mcca = mc_attributions(d, cfg, Target(game.ROC_SLICE))
+    if slices:
+        mcca = attributions[1]
         header, rows = report.slice_band_rows(mcca)
         report.write_csv(out / "slice_bands.csv", header, rows)
         for name in mcca.feature_names:

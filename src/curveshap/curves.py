@@ -1,7 +1,9 @@
 """ROC and precision-recall curves, their areas, and point estimation.
 
 Curves are built by a descending threshold sweep with tied scores collapsed
-into a single step.  `estimate_tpr` / `estimate_precision` answer "what is
+into a single step.  `roc_curves` / `pr_curves` sweep every row of an
+(M, rows) score array at once; `roc_from_scores` / `pr_from_scores` are their
+one-row case.  `estimate_tpr` / `estimate_precision` answer "what is
 the curve's value at this abscissa" under the three bracketing strategies.
 """
 
@@ -49,11 +51,13 @@ class PrCurve:
         return np.column_stack([self.recall, self.precision])
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoidal integral of y over x (x ascending)."""
+def trapezoid(y: np.ndarray, x: np.ndarray):
+    """Trapezoidal integral of y over x (x ascending) along the last axis: a
+    float for 1-D inputs, one area per row for stacked ones."""
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    return float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+    area = 0.5 * np.sum((x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1]), axis=-1)
+    return float(area) if area.ndim == 0 else area
 
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -74,49 +78,78 @@ def check_grid(grid) -> np.ndarray:
 
 
 def _sweep(scores: np.ndarray, labels: np.ndarray):
-    """Cumulative tp/fp counts at the end of each distinct-score group."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
+    """Cumulative tp/fp counts of every row of `scores` (M, rows), swept
+    from the highest score down, and where each row's next score differs."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    sorted_scores = scores[np.arange(scores.shape[0])[:, np.newaxis], order]
     sorted_labels = labels[order]
-    last_of_group = np.flatnonzero(
-        np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    )
-    tp = np.cumsum(sorted_labels == 1)[last_of_group]
-    fp = np.cumsum(sorted_labels == 0)[last_of_group]
-    return tp, fp
+    tp = np.cumsum(sorted_labels == 1, axis=1)
+    fp = np.cumsum(sorted_labels == 0, axis=1)
+    return tp, fp, sorted_scores[:, 1:] != sorted_scores[:, :-1]
 
 
-def roc_from_scores(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """Threshold-sweep ROC curve with endpoints (0,0) and (1,1)."""
-    scores = np.asarray(scores, dtype=np.float64)
+def _roc_points(tp, fp, n_pos, n_neg):
+    start = np.zeros(tp.shape[:-1] + (1,))
+    return (np.concatenate([start, fp / n_neg], axis=-1),
+            np.concatenate([start, tp / n_pos], axis=-1))
+
+
+def _pr_points(tp, fp, n_pos, n_neg):
+    precision = tp / (tp + fp)
+    return (np.concatenate([np.zeros(tp.shape[:-1] + (1,)), tp / n_pos], axis=-1),
+            np.concatenate([precision[..., :1], precision], axis=-1))
+
+
+def _curves(scores, labels, n_pos, n_neg, points) -> list[tuple]:
+    """(x, y, area) of the curve of each row of `scores` (M, rows).
+
+    Rows without ties take their points and areas from the whole batch at
+    once; a row with ties collapses each tied group into one point, alone.
+    """
+    tp, fp, distinct = _sweep(np.asarray(scores, dtype=np.float64), labels)
+    x, y = points(tp, fp, n_pos, n_neg)
+    out = [(x[i], y[i], area) for i, area in enumerate(trapezoid(y, x).tolist())]
+    for i in np.flatnonzero(~distinct.all(axis=1)):
+        last_of_group = np.flatnonzero(np.append(distinct[i], True))
+        xi, yi = points(tp[i, last_of_group], fp[i, last_of_group], n_pos, n_neg)
+        out[i] = (xi, yi, trapezoid(yi, xi))
+    return out
+
+
+def roc_curves(scores: np.ndarray, labels: np.ndarray) -> list[RocCurve]:
+    """Threshold-sweep ROC curve, with endpoints (0,0) and (1,1), of each row
+    of `scores` (M, rows) against the same `labels`."""
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise SingleClassLabels("ROC curve needs both label classes")
-    tp, fp = _sweep(scores, labels)
-    fpr = np.concatenate([[0.0], fp / n_neg])
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    return RocCurve(fpr, tpr, trapezoid(tpr, fpr))
+    return [RocCurve(*c) for c in _curves(scores, labels, n_pos, n_neg, _roc_points)]
 
 
-def pr_from_scores(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
-    """Threshold-sweep PR curve.
+def pr_curves(scores: np.ndarray, labels: np.ndarray) -> list[PrCurve]:
+    """Threshold-sweep PR curve of each row of `scores` (M, rows) against the
+    same `labels`.
 
     The left endpoint (0, precision of the highest-score step) is prepended
     as a convention; precision at recall 0 is otherwise undefined.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     if n_pos == 0:
         raise NoPositiveLabels("PR curve needs at least one positive label")
-    tp, fp = _sweep(scores, labels)
-    recall = tp / n_pos
-    precision = tp / (tp + fp)
-    recall = np.concatenate([[0.0], recall])
-    precision = np.concatenate([[precision[0]], precision])
-    return PrCurve(recall, precision, trapezoid(precision, recall))
+    n_neg = int((labels == 0).sum())
+    return [PrCurve(*c) for c in _curves(scores, labels, n_pos, n_neg, _pr_points)]
+
+
+def roc_from_scores(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
+    """Threshold-sweep ROC curve with endpoints (0,0) and (1,1)."""
+    return roc_curves(np.asarray(scores)[np.newaxis], labels)[0]
+
+
+def pr_from_scores(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
+    """Threshold-sweep PR curve; see `pr_curves`."""
+    return pr_curves(np.asarray(scores)[np.newaxis], labels)[0]
 
 
 def _estimate(x: np.ndarray, y: np.ndarray, query, s: Strategy):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .curves import (
     check_grid,
     estimate_precision,
     estimate_tpr,
-    pr_from_scores,
-    roc_from_scores,
+    pr_curves,
+    roc_curves,
 )
 from .dataset import Dataset
 from .errors import (
@@ -36,6 +36,10 @@ from .errors import (
 from .model import train_gnb
 
 EXACT_MODE_CAP = 20
+
+# Most scores (coalitions × test rows × coalition size) that one scoring batch
+# holds; it bounds the batch's working memory to a few such float64 arrays.
+BATCH_FLOATS = 1 << 14
 
 AUC = "auc"
 ROC_SLICE = "roc_slice"
@@ -114,9 +118,10 @@ class Target:
 class GameSpec:
     """A characteristic function bound to a train/test split.
 
-    `fit` is called once per split, on `train`; the scorer it returns scores
-    one coalition with `score(test, columns)`, given the full-width test set
-    and the coalition's column indices.
+    `fit` is called once per split, on `train`.  The scorer it returns has
+    `score(test, columns)`: given the full-width test set and an (M, k) array
+    holding the column indices of M coalitions of k features each, it returns
+    their (M, test rows) scores.
     """
 
     target: Target
@@ -190,14 +195,16 @@ class PayoffTable:
 class PayoffEngine:
     """Fits one model for the split and memoizes each coalition's payoff row.
 
-    The fit runs when the engine is built; each coalition is then scored from
-    it by its own columns, with no refit.  The engine is bound to its
-    abscissae when built: with no grid, the target's own (None for area
-    games, one scalar for a slice game), and otherwise a grid of slice
-    abscissae.  A coalition's payoff row is a float for the former and one
-    payoff per grid point for the latter.  Each coalition's curve is built
-    once, read at every abscissa and dropped; only the row is kept, keyed by
-    coalition bitmask.
+    The fit runs when the engine is built; coalitions are then scored from it
+    by their own columns, with no refit.  `fill` scores every coalition it is
+    given that is not memoized yet, in batches of one coalition size, each
+    scored in one call and swept in one pass; `payoff` is its one-coalition
+    case.  The engine is bound to its abscissae when built: with no grid, the
+    target's own (None for area games, one scalar for a slice game), and
+    otherwise a grid of slice abscissae.  A coalition's payoff row is a float
+    for the former and one payoff per grid point for the latter.  Each
+    coalition's curve is read at every abscissa and dropped; only the row is
+    kept, keyed by coalition bitmask.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -220,10 +227,25 @@ class PayoffEngine:
 
     def payoff(self, mask: int) -> float | np.ndarray:
         """υ(coalition) at the engine's abscissae, memoized by mask."""
-        row = self._rows.get(mask)
-        if row is None:
-            row = self._rows[mask] = self._read(self.curve(mask))
-        return row
+        if mask not in self._rows:
+            self.fill((mask,))
+        return self._rows[mask]
+
+    def fill(self, masks: Iterable[int]) -> None:
+        """Memoize the payoff row of every coalition in `masks`.
+
+        Those not memoized yet are grouped by size and scored in batches of
+        at most BATCH_FLOATS scores, at least one coalition each.
+        """
+        by_size: dict[int, list[int]] = {}
+        for mask in sorted({int(m) for m in masks} - self._rows.keys()):
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+        for k, group in by_size.items():
+            step = max(1, BATCH_FLOATS // (self.spec.test.n_rows * k))
+            for start in range(0, len(group), step):
+                batch = group[start:start + step]
+                for mask, curve in zip(batch, self._curves(batch)):
+                    self._rows[mask] = self._read(curve)
 
     def _read(self, curve: RocCurve | PrCurve | None) -> float | np.ndarray:
         if curve is None:
@@ -245,25 +267,45 @@ class PayoffEngine:
     def curve(self, mask: int) -> RocCurve | PrCurve | None:
         """Score the coalition and build its curve afresh (not memoized);
         None, with a DegenerateCurveWarning, if its scores admit no curve."""
+        return self._curves([int(mask)])[0]
+
+    def _curves(self, masks: list[int]) -> list[RocCurve | PrCurve | None]:
+        """Score coalitions of one size in one call and build their curves;
+        None, with one DegenerateCurveWarning each, for those whose scores
+        admit no curve."""
         spec = self.spec
-        if mask >> spec.n:
-            raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
-        indices = [i for i in range(spec.n) if mask >> i & 1]
-        self.trainings += 1
-        scores = np.asarray(self.scorer.score(spec.test, indices), dtype=np.float64)
-        try:
-            if not np.isfinite(scores).all():
-                raise SingleClassLabels("scores contain non-finite values")
-            if spec.target.kind in _ROC_KINDS:
-                return roc_from_scores(scores, spec.test.labels)
-            return pr_from_scores(scores, spec.test.labels)
-        except (SingleClassLabels, NoPositiveLabels) as exc:
+        for mask in masks:
+            if mask >> spec.n:
+                raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
+        # Masks are Python ints of any width: unpack them bytewise, not as int64.
+        width = (spec.n + 7) // 8
+        raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        bits = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(len(masks), width),
+            axis=1, bitorder="little",
+        )
+        columns = np.nonzero(bits)[1].reshape(len(masks), masks[0].bit_count())
+        self.trainings += len(masks)
+        scores = np.asarray(self.scorer.score(spec.test, columns), dtype=np.float64)
+        finite = np.isfinite(scores).all(axis=1)
+        reasons = dict.fromkeys(np.flatnonzero(~finite).tolist(),
+                                "scores contain non-finite values")
+        curves: list[RocCurve | PrCurve | None] = [None] * len(masks)
+        valid = np.flatnonzero(finite)
+        if valid.size:
+            build = roc_curves if spec.target.kind in _ROC_KINDS else pr_curves
+            try:
+                for i, curve in zip(valid.tolist(), build(scores[valid], spec.test.labels)):
+                    curves[i] = curve
+            except (SingleClassLabels, NoPositiveLabels) as exc:
+                reasons.update(dict.fromkeys(valid.tolist(), str(exc)))
+        for i in sorted(reasons):
             warnings.warn(
-                f"coalition {mask:#x} has no valid curve ({exc}); payoff set to 0",
+                f"coalition {masks[i]:#x} has no valid curve ({reasons[i]}); payoff set to 0",
                 DegenerateCurveWarning,
                 stacklevel=3,
             )
-            return None
+        return curves
 
 
 def _payoff_matrix(
@@ -274,6 +316,7 @@ def _payoff_matrix(
     if n > cap:
         raise TooManyFeaturesForExactMode(n, cap)
     engine = PayoffEngine(spec, grid)
+    engine.fill(range(1, 1 << n))
     matrix = np.stack([engine.payoff(mask) for mask in range(1 << n)], axis=-1)
     matrix.setflags(write=False)
     return engine, matrix

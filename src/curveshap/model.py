@@ -9,6 +9,11 @@ columns.  Only the variance smoothing depends on the coalition, and it is
 recomputed from the coalition's own columns.  A model of zero feature
 columns degrades to the prior-only model whose scores all equal the
 positive prior.
+
+`score` takes one coalition's columns, or a batch of M coalitions of one
+size as an (M, k) index array scored in one pass.  One coalition gives
+(rows,) scores and a batch (M, rows); each row of a batch equals its
+coalition scored alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,12 +50,11 @@ class TrainedModel:
         """Smoothed variances, strictly positive.  The smoothing is relative
         to the spread of the model's training columns, with an absolute floor
         so constant columns stay finite."""
-        if self.n_features == 0:
-            return self.ml_variances
-        eps = max(VAR_SMOOTHING * float(self.column_variances.max()), VAR_FLOOR)
-        return self.ml_variances + eps
+        return self.ml_variances + _smoothing(self.column_variances)
 
-    def score(self, test: Dataset, columns: Sequence[int] | None = None) -> np.ndarray:
+    def score(
+        self, test: Dataset, columns: Sequence[int] | np.ndarray | None = None
+    ) -> np.ndarray:
         return score(self, test, columns)
 
 
@@ -70,46 +74,57 @@ def train_gnb(train: Dataset) -> TrainedModel:
     return TrainedModel(priors, means, variances, columns.var(axis=1))
 
 
+def _smoothing(column_variances: np.ndarray) -> np.ndarray:
+    """Variance smoothing of each coalition whose training column variances
+    lie along the last axis: relative to the largest, floored at VAR_FLOOR
+    (which is also the value for a coalition of no columns)."""
+    return np.maximum(
+        VAR_SMOOTHING * column_variances.max(axis=-1, initial=0.0), VAR_FLOOR
+    )
+
+
 def score(
-    m: TrainedModel, test: Dataset, columns: Sequence[int] | None = None
+    m: TrainedModel, test: Dataset, columns: Sequence[int] | np.ndarray | None = None
 ) -> np.ndarray:
     """Positive-class posterior probability for every row of `test`.
 
-    `test` has the model's columns.  Given `columns`, distinct column
-    indices, only those are scored, exactly as by a model trained on them
-    alone; no columns give the prior-only scores.
+    `test` has the model's columns.  `columns` names one coalition by its
+    distinct column indices (None: all columns; no indices: the prior-only
+    model) or, as an (M, k) array, a batch of M coalitions of k columns.  Each
+    coalition is scored exactly as by a model trained on its columns alone.
+    Returns (rows,) scores for one coalition and (M, rows) for a batch.
     """
     if test.n_features != m.n_features:
         raise ArityMismatch(m.n_features, test.n_features)
-    x = test.features
-    if columns is not None:
-        cols = np.asarray(columns, dtype=np.intp).reshape(-1)
-        outside = cols[(cols < 0) | (cols >= m.n_features)]
-        if outside.size:
-            raise IndexOutOfRange(int(outside[0]), m.n_features)
-        # np.take keeps the selections C-contiguous, so the reductions below
-        # run in the same order as on a retrained model's arrays.
-        m = TrainedModel(
-            m.priors, *(np.take(a, cols, axis=-1)
-                        for a in (m.means, m.ml_variances, m.column_variances))
-        )
-        x = np.take(x, cols, axis=1)
-    variances = m.variances
-    log_joint = np.empty((test.n_rows, 2))
+    cols = np.asarray(
+        range(m.n_features) if columns is None else columns, dtype=np.intp
+    )
+    batch = cols.ndim == 2
+    if not batch:
+        cols = cols.reshape(1, cols.size)
+    outside = cols[(cols < 0) | (cols >= m.n_features)]
+    if outside.size:
+        raise IndexOutOfRange(int(outside[0]), m.n_features)
+    variances = (np.take(m.ml_variances, cols, axis=1)
+                 + _smoothing(np.take(m.column_variances, cols))[:, np.newaxis])
+    log_joint = np.empty((test.n_rows, cols.shape[0], 2))
     for c in (0, 1):
-        if m.n_features == 0:
-            log_lik = np.zeros(test.n_rows)
-        else:
-            var = variances[c]
-            terms = -0.5 * (
-                _LOG_2PI
-                + np.log(var)
-                + (x - m.means[c]) ** 2 / var
-            )
-            # Summing the per-feature terms in value order makes the scores
-            # independent of column order, so coalition projections that
-            # differ only in feature position score bit-identically.
-            log_lik = np.sort(terms, axis=1).sum(axis=1)
-        log_joint[:, c] = np.log(m.priors[c]) + log_lik
+        var = variances[c]
+        # Each term is -0.5 * (log 2π + log var + (x - mean)² / var).  The
+        # squared deviation does not depend on the coalition, so it is
+        # computed once per column; np.take then gives one C-contiguous
+        # (rows, M, k) block, so each coalition's terms of a row are sorted
+        # and summed in the order a retrained model's are.  The block is
+        # updated in place: it is the batch's largest array.
+        terms = np.take((test.features - m.means[c]) ** 2, cols, axis=1)
+        terms /= var
+        terms += _LOG_2PI + np.log(var)
+        terms *= -0.5
+        # Summing the per-feature terms in value order makes the scores
+        # independent of column order, so coalition projections that
+        # differ only in feature position score bit-identically.
+        terms.sort(axis=-1)
+        log_joint[..., c] = np.log(m.priors[c]) + terms.sum(axis=-1)
     # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), evaluated stably.
-    return np.exp(log_joint[:, 1] - np.logaddexp(log_joint[:, 0], log_joint[:, 1]))
+    scores = np.exp(log_joint[..., 1] - np.logaddexp(log_joint[..., 0], log_joint[..., 1]))
+    return np.ascontiguousarray(scores.T) if batch else scores[:, 0]

@@ -2,7 +2,10 @@
 
 `shapley_exact` enumerates a complete payoff table with the classic
 combinatorial weights; `shapley_sampled` estimates the same values from
-uniformly random feature permutations with memoized payoffs.
+uniformly random feature permutations with memoized payoffs.  A sampled
+estimate fills the payoff engine with the distinct prefix coalitions of its
+permutations in one batched call, so the marginals are then read from the
+memo.
 """
 
 from __future__ import annotations
@@ -150,17 +153,26 @@ def _sampled_engine(
 
 def _mean_marginals(engine: PayoffEngine, perms, k: int | None = None) -> np.ndarray:
     """Each feature's marginal payoff averaged over `perms`, read from the
-    engine's payoff rows (at grid point k, for an engine bound to a grid)."""
+    engine's payoff rows (at grid point k, for an engine bound to a grid).
+
+    The prefix coalitions of all the permutations are filled in one batched
+    pass first, so the marginals are then read from the memo.  Masks stay
+    Python ints, so any number of features fits.
+    """
+    perms = [list(map(int, perm)) for perm in perms]
+    engine.fill(
+        mask for perm in perms for mask in itertools.accumulate(1 << i for i in perm)
+    )
     gains = np.zeros(engine.spec.n)
     for perm in perms:
         mask = 0
         previous = 0.0
         for i in perm:
-            mask |= 1 << int(i)
+            mask |= 1 << i
             value = engine.payoff(mask)
             if k is not None:
                 value = value[k]
-            gains[int(i)] += value - previous
+            gains[i] += value - previous
             previous = value
     return gains / len(perms)
 
@@ -175,9 +187,10 @@ def shapley_sampled(
     """Permutation-sampling estimate of the Shapley values of `spec`'s game.
 
     Draws uniform random feature permutations and averages each feature's
-    marginal payoff over them.  Payoffs are memoized, so repeated coalitions
-    cost nothing.  With `without_replacement` the permutations are distinct;
-    sampling all n! of them reproduces the exact values.
+    marginal payoff over them.  The coalitions they visit are scored once, in
+    batches, before any marginal is read.  With `without_replacement` the
+    permutations are distinct; sampling all n! of them reproduces the exact
+    values.
     """
     engine = _sampled_engine(spec, samples)
     n = spec.n
@@ -209,7 +222,8 @@ def shapley_sampled_curve(
     """Permutation-sampling analogue of evaluate_slices + shapley_curve.
 
     One payoff engine, bound to the grid, serves every grid point, so each
-    coalition is scored once; point k draws its permutations from seed + k.
+    coalition is scored once; point k draws its permutations from seed + k,
+    and the coalitions new to the memo are filled in one batched pass.
     """
     engine = _sampled_engine(spec, samples, grid)
     n = spec.n

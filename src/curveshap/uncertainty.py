@@ -1,14 +1,16 @@
 """Monte-Carlo cross-validation of curves and attributions.
 
-Each iteration re-splits the dataset with seed base_seed + k, retrains, and
-re-derives the quantity of interest; aggregates are means and population
-standard deviations.  Curves from different iterations are aligned on a
-common abscissa grid with the Interpolation strategy before averaging.
+Each iteration re-splits the dataset with seed base_seed + k, fits the model
+once, and re-derives every quantity of interest from that split and fit;
+aggregates are means and population standard deviations.  Curves from
+different iterations are aligned on a common abscissa grid with the
+Interpolation strategy before averaging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -110,21 +112,77 @@ class McCurveAttribution:
         return BandedSeries(self.abscissae, self.mean[i], self.std[i], self.iterations)
 
 
-def mc_curves(d: Dataset, cfg: McConfig, kind: str = "roc") -> BandedSeries:
-    """Grand-coalition ROC (or PR) curve band across Monte-Carlo splits."""
-    if kind not in ("roc", "pr"):
-        raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
-    rows = np.empty((cfg.iterations, cfg.grid.size))
+def _monte_carlo(d: Dataset, cfg: McConfig, jobs) -> list[np.ndarray]:
+    """Every job's rows stacked over the iterations, one array per job.
+
+    Each iteration splits the dataset and fits the model once, runs every
+    `job(train, test, model)` on them and drops them before the next; a job
+    returns an array of one shape at every iteration.
+    """
+    stacks = [None] * len(jobs)
     for k in range(cfg.iterations):
         train, test = split(d, cfg.split_spec(k))
-        scores = train_gnb(train).score(test)
+        model = train_gnb(train)
+        for j, job in enumerate(jobs):
+            row = job(train, test, model)
+            if stacks[j] is None:
+                stacks[j] = np.empty((cfg.iterations, *row.shape))
+            stacks[j][k] = row
+    return stacks
+
+
+def _curve_job(cfg: McConfig, kind: str):
+    """An iteration's grand-coalition ROC (or PR) curve on the config grid."""
+    if kind not in ("roc", "pr"):
+        raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
+
+    def job(train: Dataset, test: Dataset, model) -> np.ndarray:
+        scores = model.score(test)
         if kind == "roc":
             curve = roc_from_scores(scores, test.labels)
-            rows[k] = estimate_tpr(curve, cfg.grid, Strategy.INTERPOLATION)
-        else:
-            curve = pr_from_scores(scores, test.labels)
-            rows[k] = estimate_precision(curve, cfg.grid, Strategy.INTERPOLATION)
-    return BandedSeries(cfg.grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
+            return estimate_tpr(curve, cfg.grid, Strategy.INTERPOLATION)
+        curve = pr_from_scores(scores, test.labels)
+        return estimate_precision(curve, cfg.grid, Strategy.INTERPOLATION)
+
+    return job
+
+
+def _attribution_job(cfg: McConfig, target: Target, strategy: Strategy | None):
+    """An iteration's Shapley values of `target` from the iteration's fit: per
+    feature and grid point for a slice target (whose own abscissa is
+    ignored), and per feature followed by the achieved total for an area."""
+    if target.is_slice:
+        target = Target(target.kind)
+        strategy = Strategy.INTERPOLATION if strategy is None else strategy
+
+    def job(train: Dataset, test: Dataset, model) -> np.ndarray:
+        spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
+        if target.is_slice:
+            return shapley_curve(game.evaluate_slices(spec, cfg.grid)).values
+        attr = shapley_exact(game.evaluate_all(spec))
+        return np.append(attr.values, attr.total)
+
+    return job
+
+
+def _attribution_bands(
+    d: Dataset, cfg: McConfig, target: Target, stack: np.ndarray
+) -> McAttribution | McCurveAttribution:
+    if target.is_slice:
+        return McCurveAttribution(
+            d.feature_names, cfg.grid, stack.mean(axis=0), stack.std(axis=0),
+            cfg.iterations, target.kind,
+        )
+    values, totals = stack[:, :-1], stack[:, -1]
+    return McAttribution(
+        d.feature_names, values.mean(axis=0), values.std(axis=0),
+        cfg.iterations, target, float(totals.mean()),
+    )
+
+
+def mc_curves(d: Dataset, cfg: McConfig, kind: str = "roc") -> BandedSeries:
+    """Grand-coalition ROC (or PR) curve band across Monte-Carlo splits."""
+    return mc_bands(d, cfg, kind, [])[0]
 
 
 def mc_attributions(
@@ -137,37 +195,19 @@ def mc_attributions(
 
     Area targets aggregate per feature; slice targets aggregate per feature
     and grid point (the target's own abscissa is ignored in favor of the
-    config grid).
+    config grid, and the strategy defaults to interpolation).
     """
-    if target.is_slice:
-        return _mc_slice_attributions(d, cfg, target, strategy)
-    stack = np.empty((cfg.iterations, d.n_features))
-    totals = np.empty(cfg.iterations)
-    for k in range(cfg.iterations):
-        train, test = split(d, cfg.split_spec(k))
-        spec = GameSpec(target, train, test, strategy)
-        attr = shapley_exact(game.evaluate_all(spec))
-        stack[k] = attr.values
-        totals[k] = attr.total
-    return McAttribution(
-        d.feature_names, stack.mean(axis=0), stack.std(axis=0),
-        cfg.iterations, target, float(totals.mean()),
-    )
+    (stack,) = _monte_carlo(d, cfg, [_attribution_job(cfg, target, strategy)])
+    return _attribution_bands(d, cfg, target, stack)
 
 
-def _mc_slice_attributions(
-    d: Dataset, cfg: McConfig, target: Target, strategy: Strategy | None
-) -> McCurveAttribution:
-    if strategy is None:
-        strategy = Strategy.INTERPOLATION
-    stack = np.empty((cfg.iterations, d.n_features, cfg.grid.size))
-    for k in range(cfg.iterations):
-        train, test = split(d, cfg.split_spec(k))
-        bare = Target(target.kind)
-        spec = GameSpec(bare, train, test, strategy)
-        tables = game.evaluate_slices(spec, cfg.grid)
-        stack[k] = shapley_curve(tables).values
-    return McCurveAttribution(
-        d.feature_names, cfg.grid, stack.mean(axis=0), stack.std(axis=0),
-        cfg.iterations, target.kind,
-    )
+def mc_bands(
+    d: Dataset, cfg: McConfig, kind: str, targets: Sequence[Target]
+) -> tuple[BandedSeries, list[McAttribution | McCurveAttribution]]:
+    """The grand-coalition ROC (or PR) curve band and, for each target, its
+    attribution bands as `mc_attributions` gives them with the default
+    strategy, all from one split and one model fit per iteration."""
+    jobs = [_curve_job(cfg, kind), *(_attribution_job(cfg, t, None) for t in targets)]
+    rows, *stacks = _monte_carlo(d, cfg, jobs)
+    band = BandedSeries(cfg.grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
+    return band, [_attribution_bands(d, cfg, t, s) for t, s in zip(targets, stacks)]

@@ -12,7 +12,9 @@ from curveshap.curves import (
     default_grid,
     estimate_precision,
     estimate_tpr,
+    pr_curves,
     pr_from_scores,
+    roc_curves,
     roc_from_scores,
     trapezoid,
 )
@@ -250,3 +252,25 @@ def test_sign_reversal_complements_auc(seed):
     forward = roc_from_scores(scores, labels).auc
     reverse = roc_from_scores(-scores, labels).auc
     assert abs(forward + reverse - 1.0) < 1e-12
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 100_000))
+def test_batch_rows_equal_single_rows(seed):
+    """Each row of a batch, tied or not, gets the curve it gets alone."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2, 40))
+    labels = rng.integers(0, 2, rows)
+    labels[:2] = [0, 1]
+    scores = rng.random((int(rng.integers(1, 8)), rows))
+    scores[::2] = np.round(scores[::2], 1)   # ties in every other row
+    for batch, single, fields in (
+        (roc_curves, roc_from_scores, ("fpr", "tpr", "auc")),
+        (pr_curves, pr_from_scores, ("recall", "precision", "auprc")),
+    ):
+        for row, curve in zip(scores, batch(scores, labels)):
+            alone = single(row, labels)
+            for field in fields:
+                np.testing.assert_array_equal(getattr(curve, field), getattr(alone, field))
+        for row, curve in zip(scores, roc_curves(scores, labels)):
+            assert abs(curve.auc - auc_rank_statistic(row, labels)) < 1e-12

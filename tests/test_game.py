@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +8,20 @@ from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import errors
-from curveshap.curves import Strategy, default_grid, estimate_tpr
+from curveshap import game
+from curveshap.curves import (
+    Strategy,
+    default_grid,
+    estimate_precision,
+    estimate_tpr,
+    pr_from_scores,
+    roc_from_scores,
+)
 from curveshap.game import (
+    AUC,
+    AUPRC,
     EXACT_MODE_CAP,
+    PRC_SLICE,
     ROC_SLICE,
     DegenerateCurveWarning,
     GameSpec,
@@ -226,11 +240,24 @@ class ConstantScorer:
         self.value = value
 
     def score(self, d, columns):
-        return np.full(d.n_rows, self.value)
+        return np.full((len(columns), d.n_rows), self.value)
 
 
 def fit_nan(_):
     return ConstantScorer(float("nan"))
+
+
+def fit_nan_with_variance(d):
+    """GNB, except that coalitions holding `variance` score NaN."""
+    gnb, nan = train_gnb(d), fit_nan(d)
+    variance = d.feature_index("variance")
+
+    class Scorer:
+        def score(self, test, columns):
+            with_variance = (columns == variance).any(axis=1)[:, np.newaxis]
+            return np.where(with_variance, nan.score(test, columns), gnb.score(test, columns))
+
+    return Scorer()
 
 
 class TestDegenerateCoalitions:
@@ -248,7 +275,7 @@ class TestDegenerateCoalitions:
 
         class HalfScorer:
             def score(self, d, columns):
-                return np.full(d.n_rows, 0.5)
+                return np.full((len(columns), d.n_rows), 0.5)
 
         spec = GameSpec(Target.auc(), train, test, fit=lambda _: HalfScorer())
         engine = PayoffEngine(spec)
@@ -284,17 +311,6 @@ class TestDegenerateCoalitions:
     def test_only_degenerate_coalitions_are_zeroed(self, banknote_split):
         """A coalition holding feature 0 is degenerate; the others keep their rows."""
         train, test = banknote_split
-
-        def fit_nan_with_variance(d):
-            gnb, nan = train_gnb(d), fit_nan(d)
-            variance = d.feature_index("variance")
-
-            class Scorer:
-                def score(self, test, columns):
-                    return (nan if variance in columns else gnb).score(test, columns)
-
-            return Scorer()
-
         spec = GameSpec(
             Target(ROC_SLICE), train, test, strategy=Strategy.INTERPOLATION,
             fit=fit_nan_with_variance,
@@ -384,3 +400,198 @@ def test_coalition_scores_equal_a_refit(seed, columns):
         if mask:
             expected = auc_rank_statistic(refit, test.labels) - 0.5
             assert abs(engine.payoff(mask) - expected) <= 1e-12
+
+
+def single_coalition_payoffs(spec, grid=None):
+    """Each coalition's payoff row from its scores computed alone, one
+    coalition per `score` call, stacked along a last axis of length 2^n."""
+    model = train_gnb(spec.train)
+    kind, labels = spec.target.kind, spec.test.labels
+    rows = [np.zeros(()) if grid is None else np.zeros(grid.size)]
+    for mask in range(1, 1 << spec.n):
+        scores = score(model, spec.test, [i for i in range(spec.n) if mask >> i & 1])
+        if kind == AUC:
+            rows.append(roc_from_scores(scores, labels).auc - 0.5)
+        elif kind == AUPRC:
+            rows.append(pr_from_scores(scores, labels).auprc - 0.5)
+        elif kind == ROC_SLICE:
+            curve = roc_from_scores(scores, labels)
+            rows.append(estimate_tpr(curve, grid, spec.strategy) - grid)
+        else:
+            curve = pr_from_scores(scores, labels)
+            rows.append(estimate_precision(curve, grid, spec.strategy) - 0.5)
+    return np.stack(rows, axis=-1)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 10_000),
+    columns=st.lists(
+        st.tuples(st.sampled_from(COLUMN_KINDS), st.integers(-6, 6)),
+        min_size=1, max_size=6,
+    ),
+    kind=st.sampled_from([AUC, AUPRC, ROC_SLICE, PRC_SLICE]),
+    strategy=st.sampled_from(list(Strategy)),
+)
+@example(seed=0, columns=[
+    ("ties", -6), ("constant", 0), ("duplicate", 0), ("normal", 6), ("normal", -3),
+    ("duplicate", 0),
+], kind=ROC_SLICE, strategy=Strategy.INTERPOLATION)
+def test_batches_equal_single_coalitions(seed, columns, kind, strategy):
+    """Payoffs filled in batches equal those of each coalition scored and
+    swept alone, bit for bit, whatever the batch size."""
+    train, test = coalition_split(seed, columns)
+    if kind in (AUC, AUPRC):
+        spec, grid = GameSpec(Target(kind), train, test), None
+        run = lambda: evaluate_all(spec).values
+    else:
+        spec = GameSpec(Target(kind), train, test, strategy)
+        grid = np.linspace(0.0, 1.0, 11)
+        run = lambda: np.stack([t.values for t in evaluate_slices(spec, grid)])
+    expected = single_coalition_payoffs(spec, grid)
+    np.testing.assert_array_equal(run(), expected)
+    for batch_floats in (1, 1 << 30):     # one coalition per batch; one batch per size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "BATCH_FLOATS", batch_floats)
+            np.testing.assert_array_equal(run(), expected)
+
+
+class CountingScorer:
+    """GNB behind a counter of the coalitions it scores."""
+
+    def __init__(self, d):
+        self.model = train_gnb(d)
+        self.coalitions = 0
+
+    def score(self, test, columns):
+        self.coalitions += len(columns)
+        return self.model.score(test, columns)
+
+
+def prefix_masks(perms):
+    return {mask for perm in perms
+            for mask in itertools.accumulate(1 << int(i) for i in perm)}
+
+
+def one_mask_at_a_time(engine, perms, k=None):
+    """The sampled estimate's mean marginals, reading `engine.payoff` one
+    mask at a time, each missing coalition scored on its own."""
+    gains = np.zeros(engine.spec.n)
+    for perm in perms:
+        mask, previous = 0, 0.0
+        for i in perm:
+            mask |= 1 << int(i)
+            value = engine.payoff(mask)
+            if k is not None:
+                value = value[k]
+            gains[int(i)] += value - previous
+            previous = value
+    return gains / len(perms)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_prefill_equals_one_mask_at_a_time(seed):
+    train, test = coalition_split(seed, [("normal", 0)] * 5 + [("ties", 2)])
+    scorers = []
+
+    def fit(d):
+        scorers.append(CountingScorer(d))
+        return scorers[-1]
+
+    spec = GameSpec(Target.auc(), train, test, fit=fit)
+    attr = shapley_sampled(spec, samples=25, seed=seed)
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(spec.n) for _ in range(25)]
+    reference = PayoffEngine(GameSpec(Target.auc(), train, test))
+    np.testing.assert_array_equal(attr.values, one_mask_at_a_time(reference, perms))
+    assert attr.total == 0.5 + reference.payoff((1 << spec.n) - 1)
+    assert scorers[0].coalitions == len(prefix_masks(perms)) == reference.trainings
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sampled_curve_prefill_equals_one_mask_at_a_time(seed):
+    train, test = coalition_split(seed, [("normal", 0)] * 5 + [("ties", 2)])
+    scorers = []
+
+    def fit(d):
+        scorers.append(CountingScorer(d))
+        return scorers[-1]
+
+    target, grid = Target(ROC_SLICE), np.linspace(0.0, 1.0, 6)
+    spec = GameSpec(target, train, test, Strategy.PESSIMISTIC, fit=fit)
+    ca = shapley_sampled_curve(spec, grid, samples=10, seed=seed)
+    reference = PayoffEngine(GameSpec(target, train, test, Strategy.PESSIMISTIC), grid)
+    visited = set()
+    for k in range(grid.size):
+        rng = np.random.default_rng(seed + k)
+        perms = [rng.permutation(spec.n) for _ in range(10)]
+        np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, k))
+        visited |= prefix_masks(perms)
+    np.testing.assert_array_equal(ca.reference, grid + reference.payoff((1 << spec.n) - 1))
+    assert scorers[0].coalitions == len(visited) == reference.trainings
+
+
+def test_sampled_modes_take_more_than_63_features():
+    """Masks of 64 or more features do not fit an int64: both sampled modes
+    and the grand coalition's payoff must still work on them."""
+    train, test = coalition_split(5, [("normal", 0)] * 70)
+    full = (1 << 70) - 1
+    area = GameSpec(Target.auc(), train, test)
+    attr = shapley_sampled(area, samples=4, seed=1)
+    rng = np.random.default_rng(1)
+    perms = [rng.permutation(70) for _ in range(4)]
+    reference = PayoffEngine(area)
+    np.testing.assert_array_equal(attr.values, one_mask_at_a_time(reference, perms))
+    scores = train_gnb(train).score(test)
+    assert reference.payoff(full) == roc_from_scores(scores, test.labels).auc - 0.5
+    assert reference.trainings == len(prefix_masks(perms))
+
+    target, grid = Target(ROC_SLICE), np.linspace(0.0, 1.0, 3)
+    slices = GameSpec(target, train, test, Strategy.INTERPOLATION)
+    ca = shapley_sampled_curve(slices, grid, samples=3, seed=2)
+    reference = PayoffEngine(slices, grid)
+    for k in range(grid.size):
+        rng = np.random.default_rng(2 + k)
+        perms = [rng.permutation(70) for _ in range(3)]
+        np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, k))
+    np.testing.assert_array_equal(ca.reference, grid + reference.payoff(full))
+
+
+def degenerate_masks(run):
+    """The coalition masks named by the DegenerateCurveWarnings of `run()`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [int(str(w.message).split()[1], 16)
+            for w in caught if issubclass(w.category, DegenerateCurveWarning)]
+
+
+@pytest.mark.parametrize("batch_floats", [1, game.BATCH_FLOATS])
+def test_one_warning_per_degenerate_coalition(banknote_split, batch_floats, monkeypatch):
+    """Coalitions holding `variance` score NaN: 8 of the 15, each warned once."""
+    monkeypatch.setattr(game, "BATCH_FLOATS", batch_floats)
+    train, test = banknote_split
+    with_variance = [mask for mask in range(16) if mask & 1]
+    area = GameSpec(Target.auc(), train, test, fit=fit_nan_with_variance)
+    assert sorted(degenerate_masks(lambda: evaluate_all(area))) == with_variance
+    grid = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION,
+                    fit=fit_nan_with_variance)
+    assert sorted(degenerate_masks(
+        lambda: evaluate_slices(grid, np.linspace(0.0, 1.0, 5)))) == with_variance
+
+
+@pytest.mark.parametrize("target", [Target.auc(), Target.auprc()], ids=["auc", "auprc"])
+def test_single_class_test_set_makes_every_coalition_degenerate(banknote_split, target):
+    """Dataset refuses one label class, so the test set is forced to one."""
+    train, test = banknote_split
+    negatives = cs.Dataset(test.features, test.labels, test.feature_names)
+    object.__setattr__(negatives, "labels", np.zeros_like(test.labels))
+    spec = GameSpec(target, train, negatives)
+    table = None
+
+    def run():
+        nonlocal table
+        table = evaluate_all(spec)
+
+    assert sorted(degenerate_masks(run)) == list(range(1, 16))
+    np.testing.assert_array_equal(table.values, np.zeros(16))

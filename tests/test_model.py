@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,3 +173,21 @@ class TestScoreColumns:
         for bad in (-1, blobs.n_features):
             with pytest.raises(errors.IndexOutOfRange):
                 score(m, blobs, [0, bad])
+
+    def test_batch_rows_equal_single_coalitions(self, banknote_split):
+        """An (M, k) batch scores each coalition as if it were scored alone."""
+        train, test = banknote_split
+        m = train_gnb(train)
+        n = test.n_features
+        for k in range(n + 1):
+            batch = np.array(list(itertools.combinations(range(n), k)),
+                             dtype=np.intp).reshape(math.comb(n, k), k)
+            scores = score(m, test, batch)
+            assert scores.shape == (len(batch), test.n_rows)
+            for row, columns in zip(scores, batch):
+                np.testing.assert_array_equal(row, score(m, test, columns))
+
+    def test_batch_column_out_of_range(self, blobs):
+        m = train_gnb(blobs)
+        with pytest.raises(errors.IndexOutOfRange):
+            score(m, blobs, np.array([[0, 1], [1, blobs.n_features]]))

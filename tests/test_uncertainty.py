@@ -11,8 +11,10 @@ from curveshap.uncertainty import (
     McConfig,
     McCurveAttribution,
     mc_attributions,
+    mc_bands,
     mc_curves,
 )
+from curveshap import uncertainty
 
 from conftest import make_blobs
 
@@ -166,3 +168,40 @@ class TestMcSliceAttributions:
         band = mc.feature_band("variance")
         np.testing.assert_array_equal(band.mean, mc.mean[0])
         assert band.iterations == 2
+
+
+class Counted:
+    """A function behind a call counter."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+class TestMcBands:
+    def test_one_split_and_fit_per_iteration(self, banknote, monkeypatch):
+        split, fit = Counted(uncertainty.split), Counted(uncertainty.train_gnb)
+        monkeypatch.setattr(uncertainty, "split", split)
+        monkeypatch.setattr(uncertainty, "train_gnb", fit)
+        cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
+        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        assert (split.calls, fit.calls) == (3, 3)
+
+    @pytest.mark.parametrize("kind", ["roc", "pr"])
+    def test_equals_separate_runs(self, banknote, kind):
+        cfg = McConfig(iterations=3, base_seed=5, grid=np.linspace(0.0, 1.0, 11))
+        targets = [cs.Target.auc(), cs.Target.auprc(), cs.Target.roc_slice(0.3)]
+        band, attributions = mc_bands(banknote, cfg, kind, targets)
+        alone = mc_curves(banknote, cfg, kind)
+        np.testing.assert_array_equal(band.mean, alone.mean)
+        np.testing.assert_array_equal(band.std, alone.std)
+        for target, together in zip(targets, attributions):
+            separate = mc_attributions(banknote, cfg, target)
+            assert type(together) is type(separate)
+            np.testing.assert_array_equal(together.mean, separate.mean)
+            np.testing.assert_array_equal(together.std, separate.std)
+            assert (getattr(together, "mean_total", None)
+                    == getattr(separate, "mean_total", None))

@@ -481,7 +481,7 @@ def _replay_params(parser: argparse.ArgumentParser, path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     command = params.get("command") if isinstance(params, dict) else None
-    if command not in RUNNERS:
+    if not isinstance(command, str) or command not in RUNNERS:
         raise DataError(f"manifest names unknown command {command!r}")
     return _validate(parser, parser.parse_args(_manifest_argv(params)))
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .curves import (
-    PrCurve,
-    RocCurve,
     Strategy,
     check_grid,
     estimate_precision,
@@ -193,87 +192,72 @@ class PayoffTable:
 
 
 class PayoffEngine:
-    """Fits one model for the split and memoizes each coalition's payoff row.
+    """Fits one model for the split and reads every payoff of a coalition
+    from its one curve.
 
-    The fit runs when the engine is built; coalitions are then scored from it
-    by their own columns, with no refit.  `fill` scores every coalition it is
-    given that is not memoized yet, in batches of one coalition size, each
-    scored in one call and swept in one pass; `payoff` is its one-coalition
-    case.  The engine is bound to its abscissae when built: with no grid, the
-    target's own (None for area games, one scalar for a slice game), and
-    otherwise a grid of slice abscissae.  A coalition's payoff row is a float
-    for the former and one payoff per grid point for the latter.  Each
-    coalition's curve is read at every abscissa and dropped; only the row is
-    kept, keyed by coalition bitmask.
+    Coalitions are scored from the fit by their own columns, in batches of one
+    size, each scored in one call and swept in one pass.  A coalition's payoff
+    row is its area payoff (AUC − 0.5 or AUPRC − 0.5, of the target's curve
+    family), then its payoffs at the slice `abscissae` the engine is bound to:
+    none for an area target, the target's own, or a grid; it is zero if the
+    scores admit no curve.  Exact games write the rows into one matrix;
+    `payoff` and `fill` memoize only the target's own payoff, by bitmask.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
         target = spec.target
-        if grid is None:
-            if target.is_slice and target.abscissa is None:
-                raise DataError(f"{target.kind} game needs an abscissa")
-            self.abscissae = target.abscissa
-            empty = 0.0
-        else:
-            if not target.is_slice:
-                raise DataError(f"a grid needs a slice target, got {target.kind}")
-            self.abscissae = check_grid(grid)
-            empty = np.zeros(self.abscissae.size)
-            empty.setflags(write=False)
+        if grid is not None and not target.is_slice:
+            raise DataError(f"a grid needs a slice target, got {target.kind}")
+        if grid is None and target.is_slice and target.abscissa is None:
+            raise DataError(f"{target.kind} game needs an abscissa")
+        given = [] if target.abscissa is None else [target.abscissa]
+        self.abscissae = np.array(given) if grid is None else check_grid(grid)
+        # The target's own payoff: the row's last entry, or every grid slice.
+        self._own = -1 if grid is None else np.s_[1:]
+        roc = target.kind in _ROC_KINDS
+        # Random-classifier value of the metric at each slice abscissa.
+        self.baselines = self.abscissae if roc else np.full(self.abscissae.size, 0.5)
+        self._sweep = roc_curves if roc else pr_curves
+        self._area = attrgetter("auc" if roc else "auprc")
+        self._estimate = estimate_tpr if roc else estimate_precision
         self.spec = spec
         self.scorer = spec.fit(spec.train)
-        self._rows: dict[int, float | np.ndarray] = {0: empty}
+        self._payoffs: dict[int, float | np.ndarray] = {}
+        self._memoize([0], np.zeros((1, 1 + self.abscissae.size)))
         self.trainings = 0      # coalitions scored
 
     def payoff(self, mask: int) -> float | np.ndarray:
         """υ(coalition) at the engine's abscissae, memoized by mask."""
-        if mask not in self._rows:
+        if mask not in self._payoffs:
             self.fill((mask,))
-        return self._rows[mask]
+        return self._payoffs[mask]
 
     def fill(self, masks: Iterable[int]) -> None:
-        """Memoize the payoff row of every coalition in `masks`.
+        """Memoize the payoff of every coalition in `masks` not memoized yet."""
+        for batch, rows in self._batches({int(m) for m in masks} - self._payoffs.keys()):
+            self._memoize(batch, rows)
 
-        Those not memoized yet are grouped by size and scored in batches of
-        at most BATCH_FLOATS scores, at least one coalition each.
-        """
+    def _memoize(self, masks: list[int], rows: np.ndarray) -> None:
+        own = rows[:, self._own]
+        own.setflags(write=False)
+        self._payoffs.update(zip(masks, own.tolist() if own.ndim == 1 else own))
+
+    def _batches(self, masks: Iterable[int]):
+        """(masks, payoff rows) of the given coalitions, grouped by size in
+        batches of at most BATCH_FLOATS scores, at least one coalition each."""
         by_size: dict[int, list[int]] = {}
-        for mask in sorted({int(m) for m in masks} - self._rows.keys()):
+        for mask in sorted(masks):
             by_size.setdefault(mask.bit_count(), []).append(mask)
         for k, group in by_size.items():
             step = max(1, BATCH_FLOATS // (self.spec.test.n_rows * k))
             for start in range(0, len(group), step):
                 batch = group[start:start + step]
-                for mask, curve in zip(batch, self._curves(batch)):
-                    self._rows[mask] = self._read(curve)
+                yield batch, self._rows(batch)
 
-    def _read(self, curve: RocCurve | PrCurve | None) -> float | np.ndarray:
-        if curve is None:
-            return self._rows[0]    # zero, like the empty coalition
-        kind = self.spec.target.kind
-        if kind == AUC:
-            return curve.auc - 0.5
-        if kind == AUPRC:
-            return curve.auprc - 0.5
-        q = self.abscissae
-        if kind == ROC_SLICE:
-            row = estimate_tpr(curve, q, self.spec.strategy) - q
-        else:
-            row = estimate_precision(curve, q, self.spec.strategy) - 0.5
-        if isinstance(row, np.ndarray):
-            row.setflags(write=False)
-        return row
-
-    def curve(self, mask: int) -> RocCurve | PrCurve | None:
-        """Score the coalition and build its curve afresh (not memoized);
-        None, with a DegenerateCurveWarning, if its scores admit no curve."""
-        return self._curves([int(mask)])[0]
-
-    def _curves(self, masks: list[int]) -> list[RocCurve | PrCurve | None]:
-        """Score coalitions of one size in one call and build their curves;
-        None, with one DegenerateCurveWarning each, for those whose scores
-        admit no curve."""
-        spec = self.spec
+    def _rows(self, masks: list[int]) -> np.ndarray:
+        """The (M, 1 + abscissae) payoff rows of M coalitions of one size; a zero
+        row, with one DegenerateCurveWarning each, where the scores admit no curve."""
+        spec, slices = self.spec, self.abscissae
         for mask in masks:
             if mask >> spec.n:
                 raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
@@ -290,43 +274,50 @@ class PayoffEngine:
         finite = np.isfinite(scores).all(axis=1)
         reasons = dict.fromkeys(np.flatnonzero(~finite).tolist(),
                                 "scores contain non-finite values")
-        curves: list[RocCurve | PrCurve | None] = [None] * len(masks)
-        valid = np.flatnonzero(finite)
-        if valid.size:
-            build = roc_curves if spec.target.kind in _ROC_KINDS else pr_curves
-            try:
-                for i, curve in zip(valid.tolist(), build(scores[valid], spec.test.labels)):
-                    curves[i] = curve
-            except (SingleClassLabels, NoPositiveLabels) as exc:
-                reasons.update(dict.fromkeys(valid.tolist(), str(exc)))
+        valid = np.flatnonzero(finite).tolist()
+        try:
+            curves = self._sweep(scores[valid], spec.test.labels) if valid else []
+        except (SingleClassLabels, NoPositiveLabels) as exc:
+            curves = []
+            reasons.update(dict.fromkeys(valid, str(exc)))
+        rows = np.zeros((len(masks), 1 + slices.size))
+        for i, curve in zip(valid, curves):
+            rows[i, 0] = self._area(curve) - 0.5
+            if slices.size:
+                rows[i, 1:] = self._estimate(curve, slices, spec.strategy) - self.baselines
         for i in sorted(reasons):
             warnings.warn(
                 f"coalition {masks[i]:#x} has no valid curve ({reasons[i]}); payoff set to 0",
                 DegenerateCurveWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-        return curves
+        return rows
 
 
 def _payoff_matrix(
-    spec: GameSpec, grid: np.ndarray | None, cap: int
+    spec: GameSpec, grid: np.ndarray | None, cap: int = EXACT_MODE_CAP
 ) -> tuple[PayoffEngine, np.ndarray]:
-    """Every coalition's payoff row, stacked along a last axis of length 2^n."""
+    """Every coalition's payoff row, written into column `mask` of one
+    (1 + abscissae, 2^n) matrix: row 0 holds the area payoffs, the others the
+    slice payoffs at the engine's abscissae."""
     n = spec.n
     if n > cap:
         raise TooManyFeaturesForExactMode(n, cap)
     engine = PayoffEngine(spec, grid)
-    engine.fill(range(1, 1 << n))
-    matrix = np.stack([engine.payoff(mask) for mask in range(1 << n)], axis=-1)
+    matrix = np.zeros((1 + engine.abscissae.size, 1 << n))
+    for batch, rows in engine._batches(range(1, 1 << n)):
+        matrix[:, batch] = rows.T
+    if not np.isfinite(matrix).all():
+        raise DataError("payoff table holds a non-finite payoff")
     matrix.setflags(write=False)
     return engine, matrix
 
 
 def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
     """Payoffs for every one of the 2^n coalitions."""
-    engine, values = _payoff_matrix(spec, None, cap)
+    engine, matrix = _payoff_matrix(spec, None, cap)
     return PayoffTable(
-        spec.n, values, spec.target, spec.strategy, spec.train.feature_names,
+        spec.n, matrix[-1], spec.target, spec.strategy, spec.train.feature_names,
         engine.trainings,
     )
 
@@ -336,7 +327,7 @@ def evaluate_slices(
 ) -> list[PayoffTable]:
     """One complete payoff table per grid abscissa, sharing one fit.
 
-    The tables' `values` are the rows of one (grid, 2^n) payoff matrix.
+    The tables' `values` are the slice rows of one payoff matrix.
     """
     engine, matrix = _payoff_matrix(spec, grid, cap)
     return [
@@ -344,5 +335,5 @@ def evaluate_slices(
             spec.n, row, spec.target.with_abscissa(float(q)), spec.strategy,
             spec.train.feature_names, engine.trainings,
         )
-        for q, row in zip(engine.abscissae, matrix)
+        for q, row in zip(engine.abscissae, matrix[1:])
     ]

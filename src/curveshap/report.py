@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import DataError
 from .game import PRC_SLICE, ROC_SLICE, PayoffTable
-from .shapley import Attribution, CurveAttribution
+from .shapley import EFFICIENCY_TOL, Attribution, CurveAttribution
 from .uncertainty import BandedSeries, McAttribution, McCurveAttribution
 
-EFFICIENCY_TOL = 1e-9
 GAP_TOL = 1e-9
 
 # Categorical palette assigned by feature index (wraps after ten).

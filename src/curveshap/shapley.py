@@ -23,6 +23,7 @@ from .game import GameSpec, PayoffEngine, PayoffTable, Target
 EFFICIENCY_TOL = 1e-9
 MIN_CONSISTENCY_GRID = 11
 _EXHAUSTIVE_ARITY_CAP = 8
+SOLVE_FLOATS = 1 << 16      # most payoffs one `_shapley_map` call takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +72,10 @@ class CurveAttribution:
     kind: str
 
     def __post_init__(self):
-        abscissae = np.asarray(self.abscissae, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        reference = np.asarray(self.reference, dtype=np.float64)
-        baselines = np.asarray(self.baselines, dtype=np.float64)
+        abscissae = np.array(self.abscissae, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
+        reference = np.array(self.reference, dtype=np.float64)
+        baselines = np.array(self.baselines, dtype=np.float64)
         n, m = len(self.feature_names), abscissae.size
         if values.shape != (n, m) or reference.shape != (m,) or baselines.shape != (m,):
             raise DataError("curve attribution arrays have inconsistent shapes")
@@ -233,16 +234,16 @@ def shapley_sampled_curve(
         rng = np.random.default_rng(seed + k)
         perms = [rng.permutation(n) for _ in range(samples)]
         values[:, k] = _mean_marginals(engine, perms, k)
-    baselines = np.array([spec.target.with_abscissa(float(q)).baseline() for q in grid])
-    reference = baselines + engine.payoff((1 << n) - 1)
+    reference = engine.baselines + engine.payoff((1 << n) - 1)
     return CurveAttribution(
-        spec.train.feature_names, grid, values, reference, baselines,
+        spec.train.feature_names, grid, values, reference, engine.baselines,
         spec.target.kind,
     )
 
 
 def shapley_curve(tables: list[PayoffTable]) -> CurveAttribution:
-    """Exact Shapley values per grid point, assembled into per-feature series."""
+    """Exact Shapley values per grid point, assembled into per-feature series.
+    At most SOLVE_FLOATS payoffs are solved at a time, which bounds memory."""
     if not tables:
         raise DataError("no payoff tables given")
     first = tables[0]
@@ -255,10 +256,15 @@ def shapley_curve(tables: list[PayoffTable]) -> CurveAttribution:
             raise DataError("tables disagree on target kind")
     abscissae = np.array([t.target.abscissa for t in tables])
     baselines = np.array([t.target.baseline() for t in tables])
-    payoffs = np.stack([t.values for t in tables])
+    step = max(1, SOLVE_FLOATS >> first.n)
+    values = np.concatenate([
+        _shapley_map(np.stack([t.values for t in tables[start:start + step]]))
+        for start in range(0, len(tables), step)
+    ], axis=1)
+    reference = baselines + np.array([t[t.full_mask] for t in tables])
     return CurveAttribution(
-        first.feature_names, abscissae, _shapley_map(payoffs),
-        baselines + payoffs[:, -1], baselines, first.target.kind,
+        first.feature_names, abscissae, values, reference, baselines,
+        first.target.kind,
     )
 
 
@@ -274,8 +280,5 @@ def auc_roc_consistency(
         raise DataError("attributions disagree on features")
     if curve_attr.abscissae.size < MIN_CONSISTENCY_GRID:
         raise GridTooCoarse(curve_attr.abscissae.size, MIN_CONSISTENCY_GRID)
-    integrals = np.array(
-        [trapezoid(curve_attr.values[i], curve_attr.abscissae)
-         for i in range(curve_attr.n)]
-    )
+    integrals = trapezoid(curve_attr.values, curve_attr.abscissae)
     return np.abs(integrals - area_attr.values)

@@ -1,10 +1,10 @@
 """Monte-Carlo cross-validation of curves and attributions.
 
 Each iteration re-splits the dataset with seed base_seed + k, fits the model
-once, and re-derives every quantity of interest from that split and fit;
-aggregates are means and population standard deviations.  Curves from
-different iterations are aligned on a common abscissa grid with the
-Interpolation strategy before averaging.
+once, and re-derives every quantity of interest from that split and fit: the
+targets of one curve family (ROC or PR) from one exact game, whose payoff
+matrix holds each coalition's area and slice payoffs.  Aggregates are means and
+population standard deviations over a common abscissa grid (Interpolation).
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .curves import (
 )
 from .dataset import Dataset, SplitSpec, split
 from .errors import DataError
-from .game import GameSpec, Target
+from .game import _ROC_KINDS, GameSpec, Target
 from .model import train_gnb
-from .shapley import shapley_curve, shapley_exact
+from .shapley import Attribution, CurveAttribution, _shapley_map
 from . import game
 
 
@@ -112,55 +112,51 @@ class McCurveAttribution:
         return BandedSeries(self.abscissae, self.mean[i], self.std[i], self.iterations)
 
 
-def _monte_carlo(d: Dataset, cfg: McConfig, jobs) -> list[np.ndarray]:
-    """Every job's rows stacked over the iterations, one array per job.
-
-    Each iteration splits the dataset and fits the model once, runs every
-    `job(train, test, model)` on them and drops them before the next; a job
-    returns an array of one shape at every iteration.
-    """
-    stacks = [None] * len(jobs)
+def _monte_carlo(d: Dataset, cfg: McConfig, job) -> list[np.ndarray]:
+    """Each array of the list `job(train, test, model)` returns, stacked over
+    the iterations; every iteration splits the dataset and fits the model once."""
+    stacks = None
     for k in range(cfg.iterations):
         train, test = split(d, cfg.split_spec(k))
-        model = train_gnb(train)
-        for j, job in enumerate(jobs):
-            row = job(train, test, model)
-            if stacks[j] is None:
-                stacks[j] = np.empty((cfg.iterations, *row.shape))
-            stacks[j][k] = row
+        rows = job(train, test, train_gnb(train))
+        stacks = stacks or [np.empty((cfg.iterations, *row.shape)) for row in rows]
+        for stack, row in zip(stacks, rows):
+            stack[k] = row
     return stacks
 
 
-def _curve_job(cfg: McConfig, kind: str):
-    """An iteration's grand-coalition ROC (or PR) curve on the config grid."""
-    if kind not in ("roc", "pr"):
-        raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
+def _attribution_job(cfg: McConfig, targets: Sequence[Target], strategy: Strategy):
+    """An iteration's Shapley values of each target: per feature and grid
+    point for a slice target (whose own abscissa is ignored), per feature and
+    then the achieved total for an area.  Targets of one curve family (ROC or
+    PR) share one exact game, on the grid if a slice target asks for it: one
+    Shapley map over its payoff matrix gives the area values (row 0) and the
+    slice values (the other rows)."""
+    games = {}      # curve family → game; slice targets come last and win
+    for target in sorted(targets, key=lambda t: t.is_slice):
+        games[target.kind in _ROC_KINDS] = Target(target.kind)
 
-    def job(train: Dataset, test: Dataset, model) -> np.ndarray:
-        scores = model.score(test)
-        if kind == "roc":
-            curve = roc_from_scores(scores, test.labels)
-            return estimate_tpr(curve, cfg.grid, Strategy.INTERPOLATION)
-        curve = pr_from_scores(scores, test.labels)
-        return estimate_precision(curve, cfg.grid, Strategy.INTERPOLATION)
-
-    return job
-
-
-def _attribution_job(cfg: McConfig, target: Target, strategy: Strategy | None):
-    """An iteration's Shapley values of `target` from the iteration's fit: per
-    feature and grid point for a slice target (whose own abscissa is
-    ignored), and per feature followed by the achieved total for an area."""
-    if target.is_slice:
-        target = Target(target.kind)
-        strategy = Strategy.INTERPOLATION if strategy is None else strategy
-
-    def job(train: Dataset, test: Dataset, model) -> np.ndarray:
-        spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
-        if target.is_slice:
-            return shapley_curve(game.evaluate_slices(spec, cfg.grid)).values
-        attr = shapley_exact(game.evaluate_all(spec))
-        return np.append(attr.values, attr.total)
+    def job(train: Dataset, test: Dataset, model) -> list[np.ndarray]:
+        solved = {}
+        for family, target in games.items():
+            spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
+            engine, matrix = game._payoff_matrix(spec, cfg.grid if target.is_slice else None)
+            solved[family] = engine, matrix, _shapley_map(matrix)
+        rows = []
+        for target in targets:
+            engine, matrix, values = solved[target.kind in _ROC_KINDS]
+            if target.is_slice:
+                rows.append(CurveAttribution(
+                    train.feature_names, cfg.grid, values[:, 1:],
+                    engine.baselines + matrix[1:, -1], engine.baselines, target.kind,
+                ).values)
+            else:
+                attr = Attribution(
+                    train.feature_names, values[:, 0], target.baseline(),
+                    target.baseline() + matrix[0, -1], target,
+                )
+                rows.append(np.append(attr.values, attr.total))
+        return rows
 
     return job
 
@@ -197,7 +193,8 @@ def mc_attributions(
     and grid point (the target's own abscissa is ignored in favor of the
     config grid, and the strategy defaults to interpolation).
     """
-    (stack,) = _monte_carlo(d, cfg, [_attribution_job(cfg, target, strategy)])
+    job = _attribution_job(cfg, [target], strategy or Strategy.INTERPOLATION)
+    (stack,) = _monte_carlo(d, cfg, job)
     return _attribution_bands(d, cfg, target, stack)
 
 
@@ -207,7 +204,16 @@ def mc_bands(
     """The grand-coalition ROC (or PR) curve band and, for each target, its
     attribution bands as `mc_attributions` gives them with the default
     strategy, all from one split and one model fit per iteration."""
-    jobs = [_curve_job(cfg, kind), *(_attribution_job(cfg, t, None) for t in targets)]
-    rows, *stacks = _monte_carlo(d, cfg, jobs)
+    if kind not in ("roc", "pr"):
+        raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
+    sweep, estimate = ((roc_from_scores, estimate_tpr) if kind == "roc"
+                       else (pr_from_scores, estimate_precision))
+    attributions = _attribution_job(cfg, targets, Strategy.INTERPOLATION)
+
+    def job(train: Dataset, test: Dataset, model) -> list[np.ndarray]:
+        row = estimate(sweep(model.score(test), test.labels), cfg.grid, Strategy.INTERPOLATION)
+        return [row, *attributions(train, test, model)]
+
+    rows, *stacks = _monte_carlo(d, cfg, job)
     band = BandedSeries(cfg.grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
     return band, [_attribution_bands(d, cfg, t, s) for t, s in zip(targets, stacks)]

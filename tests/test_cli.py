@@ -395,10 +395,14 @@ class TestReplay:
         assert run(["replay", str(tmp_path / "none.json")]) == 3
 
     def test_unknown_command_in_manifest(self, tmp_path, capsys):
+        """A hand-edited command, unhashable ones too, is a data error."""
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"command": "explode"}))
-        assert run(["replay", str(path)]) == 3
-        assert "unknown command" in last_error(capsys)["message"]
+        for command in ("explode", ["explain-auc"], {"explain-auc": 1}):
+            path.write_text(json.dumps({"command": command}))
+            assert run(["replay", str(path)]) == 3
+            error = last_error(capsys)
+            assert error["error"] == "DataError"
+            assert "unknown command" in error["message"]
 
     @staticmethod
     def edited_manifest(tmp_path, edit):

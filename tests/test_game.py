@@ -113,7 +113,8 @@ class TestPayoff:
         engine = PayoffEngine(roc_spec)
         full = (1 << roc_spec.n) - 1
         v = engine.payoff(full)
-        curve = engine.curve(full)
+        train, test = roc_spec.train, roc_spec.test
+        curve = roc_from_scores(train_gnb(train).score(test), test.labels)
         tpr = estimate_tpr(curve, 0.2, Strategy.INTERPOLATION)
         assert v == tpr - 0.2
 
@@ -279,8 +280,10 @@ class TestDegenerateCoalitions:
 
         spec = GameSpec(Target.auc(), train, test, fit=lambda _: HalfScorer())
         engine = PayoffEngine(spec)
-        assert engine.payoff(0b0001) == 0.0  # AUC 0.5 − 0.5, a real curve
-        assert engine.curve(0b0001) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateCurveWarning)
+            assert engine.payoff(0b0001) == 0.0  # AUC 0.5 − 0.5, a real curve
+        assert roc_from_scores(np.full(test.n_rows, 0.5), test.labels).auc == 0.5
 
     def test_degenerate_grid_rows_are_zero(self, banknote_split):
         train, test = banknote_split
@@ -439,7 +442,8 @@ def single_coalition_payoffs(spec, grid=None):
 ], kind=ROC_SLICE, strategy=Strategy.INTERPOLATION)
 def test_batches_equal_single_coalitions(seed, columns, kind, strategy):
     """Payoffs filled in batches equal those of each coalition scored and
-    swept alone, bit for bit, whatever the batch size."""
+    swept alone, bit for bit, whatever the batch size; a slice game's area
+    readout equals the area game's payoffs."""
     train, test = coalition_split(seed, columns)
     if kind in (AUC, AUPRC):
         spec, grid = GameSpec(Target(kind), train, test), None
@@ -454,6 +458,11 @@ def test_batches_equal_single_coalitions(seed, columns, kind, strategy):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(game, "BATCH_FLOATS", batch_floats)
             np.testing.assert_array_equal(run(), expected)
+    if grid is not None:
+        # A slice game's matrix leads with the area payoffs of its curve family.
+        area = GameSpec(Target(AUC if kind == ROC_SLICE else AUPRC), train, test)
+        _, matrix = game._payoff_matrix(spec, grid)
+        np.testing.assert_array_equal(matrix[0], evaluate_all(area).values)
 
 
 class CountingScorer:

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 import curveshap as cs
 from curveshap import errors
 from curveshap.curves import Strategy, default_grid
-from curveshap.game import GameSpec, PayoffTable, Target, evaluate_all, evaluate_slices
+from curveshap.game import (
+    ROC_SLICE,
+    GameSpec,
+    PayoffTable,
+    Target,
+    evaluate_all,
+    evaluate_slices,
+)
 from curveshap.shapley import (
     Attribution,
     auc_roc_consistency,
@@ -17,6 +25,7 @@ from curveshap.shapley import (
     shapley_sampled,
     shapley_sampled_curve,
 )
+from curveshap.uncertainty import McConfig, mc_bands
 
 from conftest import make_blobs
 from oracles import random_game, shapley_all_permutations
@@ -295,3 +304,32 @@ class TestProperties:
     def test_attribution_rejects_inefficiency(self):
         with pytest.raises(errors.DataError):
             Attribution(("a",), np.array([0.2]), 0.5, 0.9, Target.auc())
+
+
+def test_exact_slice_game_memory_is_about_one_payoff_matrix():
+    """The exact slice game at n=12 on the 101-point grid peaks near the bytes
+    of its one (1 + 101, 2^12) payoff matrix: no per-coalition rows and no
+    stacked copy of the whole grid (a memo, a stack and a second stack in
+    `shapley_curve` used to peak at about 4 such matrices)."""
+    d = make_blobs(np.random.default_rng(0), n_rows=80, n_features=12, informative=6)
+    train = cs.Dataset(d.features[:40], d.labels[:40], d.feature_names)
+    test = cs.Dataset(d.features[40:], d.labels[40:], d.feature_names)
+    spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION)
+    tracemalloc.start()
+    try:
+        shapley_curve(evaluate_slices(spec, default_grid()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * (1 + 101) * 4096 * 8
+
+
+def test_curve_attributions_leave_the_callers_grid_writable(banknote):
+    """A curve attribution holds read-only copies, not the caller's grid."""
+    train, test = cs.split(banknote, cs.SplitSpec(0.8, 0))
+    spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION)
+    grid = np.linspace(0.0, 1.0, 5)
+    shapley_sampled_curve(spec, grid, samples=3, seed=0)
+    mc_bands(banknote, McConfig(iterations=2, grid=grid), "roc", [Target(ROC_SLICE)])
+    grid[0] = 0.0
+

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -190,18 +193,72 @@ class TestMcBands:
         mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
         assert (split.calls, fit.calls) == (3, 3)
 
+    def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
+        """An area and a slice target of one curve family share one game, so
+        each iteration scores each of the 15 coalitions once, not twice."""
+        scored = []
+
+        class Recording:
+            def __init__(self, model):
+                self.model = model
+
+            def score(self, test, columns=None):
+                if columns is not None:      # the band scores the full set apart
+                    scored.extend(frozenset(c) for c in np.asarray(columns).tolist())
+                return self.model.score(test, columns)
+
+        monkeypatch.setattr(uncertainty, "train_gnb", lambda d: Recording(cs.train_gnb(d)))
+        cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
+        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        coalitions = [frozenset(c) for k in range(1, 5)
+                      for c in itertools.combinations(range(4), k)]
+        assert Counter(scored) == dict.fromkeys(coalitions, 3)
+
     @pytest.mark.parametrize("kind", ["roc", "pr"])
     def test_equals_separate_runs(self, banknote, kind):
+        """mc_bands equals the public pipeline run target by target, each
+        target in its own game on each iteration's split and fit."""
         cfg = McConfig(iterations=3, base_seed=5, grid=np.linspace(0.0, 1.0, 11))
-        targets = [cs.Target.auc(), cs.Target.auprc(), cs.Target.roc_slice(0.3)]
+        targets = [cs.Target.auc(), cs.Target.auprc(), cs.Target.roc_slice(0.3),
+                   cs.Target.prc_slice(0.6)]
         band, attributions = mc_bands(banknote, cfg, kind, targets)
-        alone = mc_curves(banknote, cfg, kind)
-        np.testing.assert_array_equal(band.mean, alone.mean)
-        np.testing.assert_array_equal(band.std, alone.std)
-        for target, together in zip(targets, attributions):
+        rows, stacks = reference_bands(banknote, cfg, kind, targets)
+        np.testing.assert_array_equal(band.mean, rows.mean(axis=0))
+        np.testing.assert_array_equal(band.std, rows.std(axis=0))
+        for target, together, stack in zip(targets, attributions, stacks):
             separate = mc_attributions(banknote, cfg, target)
             assert type(together) is type(separate)
             np.testing.assert_array_equal(together.mean, separate.mean)
-            np.testing.assert_array_equal(together.std, separate.std)
-            assert (getattr(together, "mean_total", None)
-                    == getattr(separate, "mean_total", None))
+            if target.is_slice:
+                assert isinstance(together, McCurveAttribution)
+                np.testing.assert_array_equal(together.mean, stack.mean(axis=0))
+                np.testing.assert_array_equal(together.std, stack.std(axis=0))
+            else:
+                assert isinstance(together, McAttribution)
+                np.testing.assert_array_equal(together.mean, stack[:, :-1].mean(axis=0))
+                np.testing.assert_array_equal(together.std, stack[:, :-1].std(axis=0))
+                assert together.mean_total == float(stack[:, -1].mean())
+
+
+def reference_bands(d, cfg, kind, targets):
+    """Per-iteration band rows and each target's rows from the public
+    pipeline: split, fit, then evaluate_all + shapley_exact for an area and
+    evaluate_slices + shapley_curve on the config grid for a slice."""
+    band, stacks = [], [[] for _ in targets]
+    for k in range(cfg.iterations):
+        train, test = cs.split(d, cfg.split_spec(k))
+        scores = cs.train_gnb(train).score(test)
+        if kind == "roc":
+            curve = cs.roc_from_scores(scores, test.labels)
+            band.append(cs.estimate_tpr(curve, cfg.grid, Strategy.INTERPOLATION))
+        else:
+            curve = cs.pr_from_scores(scores, test.labels)
+            band.append(cs.estimate_precision(curve, cfg.grid, Strategy.INTERPOLATION))
+        for target, stack in zip(targets, stacks):
+            if target.is_slice:
+                spec = cs.GameSpec(cs.Target(target.kind), train, test, Strategy.INTERPOLATION)
+                stack.append(cs.shapley_curve(cs.evaluate_slices(spec, cfg.grid)).values)
+            else:
+                attr = cs.shapley_exact(cs.evaluate_all(cs.GameSpec(target, train, test)))
+                stack.append(np.append(attr.values, attr.total))
+    return np.array(band), [np.array(stack) for stack in stacks]

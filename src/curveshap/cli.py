@@ -5,7 +5,8 @@ artifacts (CSV, SVG, a text summary, and a JSON run manifest) into the
 output directory.  `replay` re-executes a previously written manifest and
 reproduces the artifacts bit for bit.
 
-Exit codes: 0 success, 2 argument error, 3 data error, 4 computation error.
+Exit codes: 0 success, 2 argument error, 3 data error (an unreadable or
+unwritable file included), 4 computation error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import CurveshapError, DataError
 from .game import GameSpec, Target, evaluate_all, evaluate_slices
 from .shapley import (
     Attribution,
+    check_samples,
     shapley_curve,
     shapley_exact,
     shapley_sampled,
@@ -72,11 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p):
         p.add_argument("--data", required=True, help="input CSV path")
         p.add_argument("--label-column", required=True, help="0/1 label column")
-        if with_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--train-fraction", type=float, default=0.8)
         p.add_argument("--seed", type=int, default=0,
                        help="single source of all randomness in the run")
@@ -154,28 +155,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library call that checks each ranged argument, by parameter name.
+_CHECKS = {
+    "train_fraction": lambda v: SplitSpec(train_fraction=v),
+    "seed": lambda v: SplitSpec(seed=v),
+    "imbalance": ImbalanceSpec,
+    "fpr": Target.roc_slice,
+    "recall": Target.prc_slice,
+    "grid_size": default_grid,
+    "iterations": McConfig,
+    "sampled": check_samples,
+}
+
+
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """Range-check arguments and flatten them into a manifest dict; replayed
-    manifests come through here too, via `_manifest_argv`."""
+    """Check arguments through the library objects that consume them and
+    flatten them into a manifest dict; replayed manifests come through here
+    too, via `_manifest_argv`."""
     params = {k: v for k, v in vars(args).items() if k != "manifest"}
-    if params.get("train_fraction") is not None:
-        if not 0.0 < params["train_fraction"] < 1.0:
-            parser.error("--train-fraction must lie in (0, 1)")
-    if params.get("seed") is not None and params["seed"] < 0:
-        parser.error("--seed must be non-negative")
-    for key in ("fpr", "recall"):
-        value = params.get(key)
-        if value is not None and not 0.0 <= value <= 1.0:
-            parser.error(f"--{key} must lie in [0, 1]")
-    if params.get("imbalance") is not None:
-        if not 0.0 < params["imbalance"] < 1.0:
-            parser.error("--imbalance must lie in (0, 1)")
-    if params.get("sampled") is not None and params["sampled"] < 1:
-        parser.error("--sampled must be ≥ 1")
-    if params.get("grid_size") is not None and params["grid_size"] < 2:
-        parser.error("--grid-size must be ≥ 2")
-    if params.get("iterations") is not None and params["iterations"] < 2:
-        parser.error("--iterations must be ≥ 2")
+    for key, check in _CHECKS.items():
+        if params.get(key) is not None:
+            try:
+                check(params[key])
+            except DataError as exc:
+                parser.error(f"--{key.replace('_', '-')}: {exc}")
     if params.get("drop") is not None:
         names = []
         for chunk in params["drop"]:
@@ -191,10 +194,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict
 # ----------------------------------------------------------------------
 
 def _load(params: dict) -> Dataset:
-    try:
-        d = load_csv(params["data"], params["label_column"])
-    except OSError as exc:
-        raise DataError(f"cannot read {params['data']}: {exc}") from exc
+    d = load_csv(params["data"], params["label_column"])
     if d.n_features == 0:
         raise DataError(f"{params['data']} has no feature columns")
     if params.get("imbalance") is not None:
@@ -226,29 +226,40 @@ def _out_dir(params: dict) -> Path:
     return out
 
 
-def _write_manifest(out: Path, params: dict) -> None:
+def _finish(out: Path, params: dict, lines: list[str]) -> None:
+    """Write the run's summary and its manifest."""
+    out.joinpath("summary.txt").write_text("\n".join(lines) + "\n")
     out.joinpath(MANIFEST_NAME).write_text(
         json.dumps(params, indent=2, sort_keys=True) + "\n"
     )
 
 
 def _write_attribution(out: Path, stem: str, attr: Attribution) -> None:
-    header, rows = report.attribution_rows(attr)
-    report.write_csv(out / f"{stem}.csv", header, rows)
+    report.write_csv(out / f"{stem}.csv", *report.attribution_rows(attr))
     report.write_svg(out / f"{stem}.svg", report.render_waterfall(report.waterfall(attr)))
 
 
-def _ranking_lines(attr: Attribution) -> list[str]:
-    order = sorted(range(attr.n), key=lambda i: -abs(float(attr.values[i])))
-    width = max(len(n) for n in attr.feature_names)
+def _ranking(names, values, cells) -> list[str]:
+    """Each feature's padded name and cell, by decreasing |value|."""
+    width = max(len(n) for n in names)
+    order = sorted(range(len(names)), key=lambda i: -abs(float(values[i])))
+    return [f"  {names[i]:<{width}}  {cells[i]}" for i in order]
+
+
+def _explain_area(spec: GameSpec, params: dict, suffix: str, label: str, notes=()) -> list[str]:
+    """Attribute an area or single-slice game, write `attribution<suffix>.*`
+    (and `payoffs<suffix>.csv` in exact mode), and return its summary lines."""
+    attr, table = _area_attribution(spec, params)
+    out = _out_dir(params)
+    _write_attribution(out, f"attribution{suffix}", attr)
+    if table is not None:
+        report.write_csv(out / f"payoffs{suffix}.csv", *report.payoff_rows(table))
     return [
-        f"  {attr.feature_names[i]:<{width}}  {100.0 * attr.values[i]:+.2f}%"
-        for i in order
+        f"{label}: {report.percent(attr.total)} (baseline {report.percent(attr.baseline)})",
+        *notes,
+        "phi ranking:",
+        *_ranking(attr.feature_names, attr.values, [f"{100.0 * v:+.2f}%" for v in attr.values]),
     ]
-
-
-def _summary(out: Path, lines: list[str]) -> None:
-    out.joinpath("summary.txt").write_text("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -258,21 +269,11 @@ def _summary(out: Path, lines: list[str]) -> None:
 def _run_area(params: dict, target: Target) -> None:
     d = _load(params)
     train, test = _split(d, params)
-    attr, table = _area_attribution(GameSpec(target, train, test), params)
-    out = _out_dir(params)
-    _write_attribution(out, "attribution", attr)
-    if table is not None:
-        header, rows = report.payoff_rows(table)
-        report.write_csv(out / "payoffs.csv", header, rows)
-    lines = [
-        f"target: {target.describe()}",
-        f"achieved: {report.percent(attr.total)} (baseline {report.percent(attr.baseline)})",
-    ]
+    notes = []
     if target.kind == game.AUPRC:
-        lines.append(f"positive proportion: {d.n_positive / d.n_rows:.4f}")
-    lines += ["phi ranking:", *_ranking_lines(attr)]
-    _summary(out, lines)
-    _write_manifest(out, params)
+        notes.append(f"positive proportion: {d.n_positive / d.n_rows:.4f}")
+    lines = _explain_area(GameSpec(target, train, test), params, "", "achieved", notes)
+    _finish(_out_dir(params), params, [f"target: {target.describe()}", *lines])
 
 
 def run_explain_auc(params: dict) -> None:
@@ -307,30 +308,16 @@ def _run_slice_curves(params: dict, kind: str) -> None:
     ]
     q = params.get(abscissa_key)
     if q is not None:
-        slice_spec = GameSpec(
-            Target(kind, q), train, test, strategy
+        lines += _explain_area(
+            GameSpec(Target(kind, q), train, test, strategy), params,
+            f"_{abscissa_key}", f"slice at {abscissa_key}={q:g}",
         )
-        attr, table = _area_attribution(slice_spec, params)
-        _write_attribution(out, f"attribution_{abscissa_key}", attr)
-        if table is not None:
-            header, rows = report.payoff_rows(table)
-            report.write_csv(out / f"payoffs_{abscissa_key}.csv", header, rows)
-        lines += [
-            f"slice at {abscissa_key}={q:g}: {report.percent(attr.total)} "
-            f"(baseline {report.percent(attr.baseline)})",
-            "phi ranking:",
-            *_ranking_lines(attr),
-        ]
     mean_abs = np.abs(ca.values).mean(axis=1)
-    order = sorted(range(ca.n), key=lambda i: -mean_abs[i])
-    lines.append("mean |phi| over grid:")
-    width = max(len(n) for n in ca.feature_names)
     lines += [
-        f"  {ca.feature_names[i]:<{width}}  {100.0 * mean_abs[i]:.2f}%"
-        for i in order
+        "mean |phi| over grid:",
+        *_ranking(ca.feature_names, mean_abs, [f"{100.0 * v:.2f}%" for v in mean_abs]),
     ]
-    _summary(out, lines)
-    _write_manifest(out, params)
+    _finish(out, params, lines)
 
 
 def run_explain_roc(params: dict) -> None:
@@ -370,13 +357,9 @@ def run_uncertainty(params: dict) -> None:
         f"iterations: {cfg.iterations}",
         f"mean achieved AUC: {report.percent(mca.mean_total)}",
         "mean phi (std):",
-    ]
-    width = max(len(n) for n in mca.feature_names)
-    order = sorted(range(len(mca.feature_names)), key=lambda i: -abs(mca.mean[i]))
-    lines += [
-        f"  {mca.feature_names[i]:<{width}}  {100.0 * mca.mean[i]:+.2f}% "
-        f"(±{100.0 * mca.std[i]:.2f}%)"
-        for i in order
+        *_ranking(mca.feature_names, mca.mean, [
+            f"{100.0 * m:+.2f}% (±{100.0 * s:.2f}%)" for m, s in zip(mca.mean, mca.std)
+        ]),
     ]
     if slices:
         mcca = attributions[1]
@@ -392,8 +375,7 @@ def run_uncertainty(params: dict) -> None:
                     color=report.color_for(mcca.feature_names.index(name)),
                 ).to_svg(),
             )
-    _summary(out, lines)
-    _write_manifest(out, params)
+    _finish(out, params, lines)
 
 
 def run_feature_select(params: dict) -> None:
@@ -418,15 +400,13 @@ def run_feature_select(params: dict) -> None:
          results["reduced"].total),
     ]
     report.write_csv(out / "selection.csv", header, rows)
-    lines = [
+    _finish(out, params, [
         f"target: {target.describe()}",
         f"dropped: {', '.join(params['drop'])}",
         f"full set:    {report.percent(results['full'].total)}",
         f"reduced set: {report.percent(results['reduced'].total)}",
         f"delta: {100.0 * delta:+.2f} points",
-    ]
-    _summary(out, lines)
-    _write_manifest(out, params)
+    ])
 
 
 def run_duplicate(params: dict) -> None:
@@ -436,12 +416,11 @@ def run_duplicate(params: dict) -> None:
     augmented = duplicate_feature(d, index, new_name)
     out = _out_dir(params)
     write_dataset_csv(augmented, out / "dataset.csv", params["label_column"])
-    _summary(out, [
+    _finish(out, params, [
         f"duplicated feature: {params['feature']} -> {new_name}",
         f"columns: {', '.join(augmented.feature_names)}",
         f"rows: {augmented.n_rows}",
     ])
-    _write_manifest(out, params)
 
 
 RUNNERS = {
@@ -477,8 +456,8 @@ def _manifest_argv(params: dict) -> list[str]:
 def _replay_params(parser: argparse.ArgumentParser, path: str) -> dict:
     """Parameters of a manifest, validated as if they came from argv."""
     try:
-        params = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        params = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:      # undecodable text or malformed JSON
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     command = params.get("command") if isinstance(params, dict) else None
     if not isinstance(command, str) or command not in RUNNERS:
@@ -501,6 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     except CurveshapError as exc:
         _error_record(exc)
         return 3 if isinstance(exc, DataError) else 4
+    except OSError as exc:
+        # Unreadable input or unwritable output: a data error too.
+        _error_record(exc)
+        return 3
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,6 +32,9 @@ from .errors import (
 )
 
 BANKNOTE_SHA256 = "22ef6162c8f700703856c961d42b40f1aa5d915ce41546429cd803206f82d1f3"
+
+# Characters that make a CSV cell need quotes under csv.QUOTE_MINIMAL.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +143,12 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
 
     Every non-label cell must parse as a finite float; the label column must
     hold 0 or 1.  Reported row numbers are 1-based file line numbers (the
-    header is line 1).
+    header is line 1).  The file is UTF-8, with or without a byte-order mark;
+    undecodable or unparsable text is a :class:`DataError`.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = _csv_rows(handle, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -185,6 +190,20 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         raise EmptyDataset(f"{path} has no data rows")
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
     return Dataset(features, np.array(labels), tuple(names))
+
+
+def _csv_rows(handle, path: Path):
+    try:
+        yield from csv.reader(handle)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot parse {path}: {exc}") from exc
+
+
+def csv_cell(text: str) -> str:
+    """`text` as one CSV cell, quoted by csv.QUOTE_MINIMAL rules."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _parse_label(text: str, line_no: int) -> int:
@@ -281,10 +300,10 @@ def write_dataset_csv(d: Dataset, path: str | Path, label_column: str = "class")
     """Write a dataset back to headered CSV with exact value round trips."""
     if label_column in d.feature_names:
         raise DuplicateFeatureName(label_column)
-    lines = [",".join((*d.feature_names, label_column))]
+    lines = [",".join(map(csv_cell, (*d.feature_names, label_column)))]
     for row, label in zip(d.features, d.labels):
         lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def banknote_path() -> Path:
@@ -292,13 +311,10 @@ def banknote_path() -> Path:
     return Path(__file__).parent / "data" / "banknote.csv"
 
 
-def load_banknote(verify: bool = True) -> Dataset:
-    """Load the bundled banknote fixture, checking its SHA-256 by default."""
+def load_banknote() -> Dataset:
+    """Load the bundled banknote fixture, checking its SHA-256."""
     path = banknote_path()
-    if verify:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        if digest != BANKNOTE_SHA256:
-            raise DataError(
-                f"banknote fixture hash mismatch: {digest} != {BANKNOTE_SHA256}"
-            )
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    if digest != BANKNOTE_SHA256:
+        raise DataError(f"banknote fixture hash mismatch: {digest} != {BANKNOTE_SHA256}")
     return load_csv(path, "class")

@@ -294,15 +294,13 @@ class PayoffEngine:
         return rows
 
 
-def _payoff_matrix(
-    spec: GameSpec, grid: np.ndarray | None, cap: int = EXACT_MODE_CAP
-) -> tuple[PayoffEngine, np.ndarray]:
+def _payoff_matrix(spec: GameSpec, grid: np.ndarray | None) -> tuple[PayoffEngine, np.ndarray]:
     """Every coalition's payoff row, written into column `mask` of one
     (1 + abscissae, 2^n) matrix: row 0 holds the area payoffs, the others the
     slice payoffs at the engine's abscissae."""
     n = spec.n
-    if n > cap:
-        raise TooManyFeaturesForExactMode(n, cap)
+    if n > EXACT_MODE_CAP:
+        raise TooManyFeaturesForExactMode(n, EXACT_MODE_CAP)
     engine = PayoffEngine(spec, grid)
     matrix = np.zeros((1 + engine.abscissae.size, 1 << n))
     for batch, rows in engine._batches(range(1, 1 << n)):
@@ -313,23 +311,21 @@ def _payoff_matrix(
     return engine, matrix
 
 
-def evaluate_all(spec: GameSpec, cap: int = EXACT_MODE_CAP) -> PayoffTable:
+def evaluate_all(spec: GameSpec) -> PayoffTable:
     """Payoffs for every one of the 2^n coalitions."""
-    engine, matrix = _payoff_matrix(spec, None, cap)
+    engine, matrix = _payoff_matrix(spec, None)
     return PayoffTable(
         spec.n, matrix[-1], spec.target, spec.strategy, spec.train.feature_names,
         engine.trainings,
     )
 
 
-def evaluate_slices(
-    spec: GameSpec, grid: np.ndarray, cap: int = EXACT_MODE_CAP
-) -> list[PayoffTable]:
+def evaluate_slices(spec: GameSpec, grid: np.ndarray) -> list[PayoffTable]:
     """One complete payoff table per grid abscissa, sharing one fit.
 
     The tables' `values` are the slice rows of one payoff matrix.
     """
-    engine, matrix = _payoff_matrix(spec, grid, cap)
+    engine, matrix = _payoff_matrix(spec, grid)
     return [
         PayoffTable(
             spec.n, row, spec.target.with_abscissa(float(q)), spec.strategy,

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import csv_cell
 from .errors import DataError
 from .game import PRC_SLICE, ROC_SLICE, PayoffTable
 from .shapley import EFFICIENCY_TOL, Attribution, CurveAttribution
@@ -47,7 +48,7 @@ def percent(value: float) -> str:
 
 def format_cell(value) -> str:
     if isinstance(value, str):
-        return value
+        return csv_cell(value)
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -56,9 +57,9 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
+    lines = [",".join(map(csv_cell, header))]
     lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def attribution_rows(attr: Attribution):
@@ -143,7 +144,6 @@ class Band:
     lo: np.ndarray
     hi: np.ndarray
     color: str
-    opacity: float = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +159,6 @@ class PlotDocument:
     y_label: str
     series: tuple[Series, ...]
     bands: tuple[Band, ...] = ()
-    width: int = 640
-    height: int = 420
 
     def __post_init__(self):
         for s in self.series:
@@ -207,8 +205,6 @@ class WhiskerChart:
     title: str
     y_label: str
     bars: tuple[WhiskerBar, ...]
-    width: int = 640
-    height: int = 420
 
     def __post_init__(self):
         for b in self.bars:
@@ -287,7 +283,6 @@ def relative_contributions(ca: CurveAttribution) -> PlotDocument:
 def banded_plot(
     b: BandedSeries,
     title: str = "Monte-Carlo band",
-    x_label: str = "false positive rate",
     y_label: str = "true positive rate",
     clip: tuple[float, float] | None = (0.0, 1.0),
     color: str = PALETTE[0],
@@ -299,7 +294,7 @@ def banded_plot(
         lo = np.clip(lo, clip[0], clip[1])
         hi = np.clip(hi, clip[0], clip[1])
     return PlotDocument(
-        title, x_label, y_label,
+        title, "false positive rate", y_label,
         (Series("mean", b.abscissae, b.mean, color),),
         (Band(b.abscissae, lo, hi, color),),
     )
@@ -319,7 +314,9 @@ def attribution_whiskers(
 # SVG assembly
 # ----------------------------------------------------------------------
 
+WIDTH, HEIGHT = 640, 420      # canvas of every chart, in SVG user units
 MARGIN = {"left": 64, "right": 24, "top": 36, "bottom": 46}
+BAND_OPACITY = 0.25
 LEGEND_LINE = 16
 FONT = "ui-sans-serif, sans-serif"
 
@@ -340,15 +337,15 @@ def _tick_label(v: float) -> str:
     return f"{v:.3g}"
 
 
-def _svg_root(width: int, height: int) -> ET.Element:
+def _svg_root() -> ET.Element:
     return ET.Element(
         "svg",
         {
             "xmlns": "http://www.w3.org/2000/svg",
             "version": "1.1",
-            "width": str(width),
-            "height": str(height),
-            "viewBox": f"0 0 {width} {height}",
+            "width": str(WIDTH),
+            "height": str(HEIGHT),
+            "viewBox": f"0 0 {WIDTH} {HEIGHT}",
         },
     )
 
@@ -379,13 +376,13 @@ def _line(parent, x1, y1, x2, y2, stroke="#222222", width=1.0, dash=None):
 
 
 class _Frame:
-    """Maps data coordinates into the plot rectangle of an SVG canvas."""
+    """Maps data coordinates into the plot rectangle of the SVG canvas."""
 
-    def __init__(self, width, height, x_range, y_range):
+    def __init__(self, x_range, y_range):
         self.px0 = MARGIN["left"]
-        self.px1 = width - MARGIN["right"]
+        self.px1 = WIDTH - MARGIN["right"]
         self.py0 = MARGIN["top"]
-        self.py1 = height - MARGIN["bottom"]
+        self.py1 = HEIGHT - MARGIN["bottom"]
         self.x_range = x_range
         self.y_range = y_range
 
@@ -434,15 +431,15 @@ def _polyline_runs(x: np.ndarray, y: np.ndarray):
 
 def _render_plot(doc: PlotDocument) -> str:
     x_range, y_range = doc.data_ranges()
-    frame = _Frame(doc.width, doc.height, x_range, y_range)
-    root = _svg_root(doc.width, doc.height)
+    frame = _Frame(x_range, y_range)
+    root = _svg_root()
     for band in doc.bands:
         pts = [(frame.x(x), frame.y(h)) for x, h in zip(band.x, band.hi)]
         pts += [(frame.x(x), frame.y(l)) for x, l in zip(band.x[::-1], band.lo[::-1])]
         ET.SubElement(root, "polygon", {
             "points": " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts),
             "fill": band.color,
-            "fill-opacity": str(band.opacity),
+            "fill-opacity": str(BAND_OPACITY),
             "stroke": "none",
         })
     for s in doc.series:
@@ -479,8 +476,8 @@ def _render_whiskers(chart: WhiskerChart) -> str:
     values = [b.value for b in chart.bars]
     spans = [b.value - b.err for b in chart.bars] + [b.value + b.err for b in chart.bars]
     lo, hi = _padded(min(0.0, *spans), max(0.0, *spans))
-    frame = _Frame(chart.width, chart.height, (0.0, 1.0), (lo, hi))
-    root = _svg_root(chart.width, chart.height)
+    frame = _Frame((0.0, 1.0), (lo, hi))
+    root = _svg_root()
     k = len(chart.bars)
     slot = (frame.px1 - frame.px0) / max(k, 1)
     bar_w = slot * 0.55
@@ -518,7 +515,7 @@ def _render_whiskers(chart: WhiskerChart) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def render_waterfall(wf: WaterfallSpec, width: int = 640, height: int = 420) -> str:
+def render_waterfall(wf: WaterfallSpec) -> str:
     """Waterfall chart: anchored baseline/total columns, floating φ bars."""
     # Re-assert the additivity invariant at render time.
     drift = abs(wf.baseline + sum(v for _, v in wf.bars) - wf.total)
@@ -530,8 +527,8 @@ def render_waterfall(wf: WaterfallSpec, width: int = 640, height: int = 420) -> 
     lo = min(0.0, min(levels))
     hi = max(0.0, max(levels))
     lo, hi = _padded(lo, hi, 0.12)
-    frame = _Frame(width, height, (0.0, 1.0), (lo, hi))
-    root = _svg_root(width, height)
+    frame = _Frame((0.0, 1.0), (lo, hi))
+    root = _svg_root()
     columns = [(wf.baseline_label, 0.0, wf.baseline, ANCHOR_COLOR, wf.baseline)]
     running = wf.baseline
     for name, v in wf.bars:

@@ -141,12 +141,17 @@ def shapley_exact(t: PayoffTable) -> Attribution:
     )
 
 
+def check_samples(samples: int) -> None:
+    """Reject a permutation-sample count below 1."""
+    if samples < 1:
+        raise DataError(f"samples must be ≥ 1, got {samples}")
+
+
 def _sampled_engine(
     spec: GameSpec, samples: int, grid: np.ndarray | None = None
 ) -> PayoffEngine:
     """The payoff engine of a sampled estimate, after the checks both share."""
-    if samples < 1:
-        raise DataError(f"samples must be ≥ 1, got {samples}")
+    check_samples(samples)
     if spec.n == 0:
         raise DataError("cannot attribute a game with no features")
     return PayoffEngine(spec, grid)

@@ -43,8 +43,7 @@ class McConfig:
     def __post_init__(self):
         if self.iterations < 2:
             raise DataError(f"iterations must be ≥ 2, got {self.iterations}")
-        if self.base_seed < 0:
-            raise DataError("base_seed must be non-negative")
+        self.split_spec(0)      # checks train_fraction and base_seed
         grid = check_grid(self.grid)
         if grid.size < 2:
             raise DataError("grid must hold at least 2 abscissae")

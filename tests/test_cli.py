@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,3 +447,130 @@ class TestReplay:
         assert list(manifest) == sorted(manifest)
         assert manifest["command"] == "explain-auc"
         assert manifest["seed"] == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("explain-auc", "train_fraction", 1.5),
+    ("explain-auc", "seed", -1),
+    ("explain-auprc", "imbalance", 0.0),
+    ("explain-roc", "fpr", 1.5),
+    ("explain-prc", "recall", -0.1),
+    ("explain-roc", "grid_size", 1),
+    ("uncertainty", "iterations", 1),
+    ("explain-auc", "sampled", 0),
+])
+def test_out_of_range_flag_rejected(command, key, value, tmp_path, capsys):
+    """Exit 2 on argv, exit 3 naming the flag on replay, no output either way."""
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "run"
+    common = {"data": BANKNOTE, "label_column": "class", "out": str(out)}
+    with pytest.raises(SystemExit) as exc:
+        run([command, *(f"--{k.replace('_', '-')}={v}" for k, v in common.items()),
+             f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag}: " in capsys.readouterr().err
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, **common, key: value}))
+    assert run(["replay", str(manifest)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["message"].startswith(f"{flag}: ")
+    assert not out.exists()
+
+
+def banknote_with_header(tmp_path, header):
+    """Banknote's rows under another header line."""
+    rows = cs.banknote_path().read_text().splitlines()[1:]
+    path = tmp_path / "renamed.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return str(path)
+
+
+def only_error(capsys):
+    """The one line on stderr, parsed as a JSON error record."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return json.loads(err[0])
+
+
+class TestUnreadableInput:
+    def test_non_utf8_csv(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(cs.banknote_path().read_bytes().replace(b"3.6216", b"3.62\xff", 1))
+        code = run(["explain-auc", "--data", str(path), "--label-column", "class",
+                    "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert only_error(capsys)["error"] == "DataError"
+
+    def test_oversized_cell(self, tmp_path, capsys):
+        data = banknote_with_header(tmp_path, "variance,skewness,kurtosis,entropy,class")
+        path = tmp_path / "big.csv"
+        path.write_text(Path(data).read_text().replace("3.6216", "3" + "0" * 200_000, 1))
+        code = run(["explain-auc", "--data", str(path), "--label-column", "class",
+                    "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "field larger" in only_error(capsys)["message"]
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"command": "explain-auc\xff"}')
+        assert run(["replay", str(path)]) == 3
+        assert only_error(capsys)["error"] == "DataError"
+
+    def test_byte_order_mark(self, tmp_path):
+        data = banknote_with_header(tmp_path, "\ufeffvariance,skewness,kurtosis,entropy,class")
+        out = tmp_path / "run"
+        code = run(["explain-auc", "--data", data, "--label-column", "class",
+                    "--out", str(out)])
+        assert code == 0
+        assert "variance" in read_attr_csv(out / "attribution.csv")
+
+
+class TestQuotedNames:
+    def test_attribution_csv_round_trips(self, tmp_path):
+        data = banknote_with_header(tmp_path, '"va,r","sk""ew",kurtosis,entropy,class')
+        out = tmp_path / "run"
+        code = run(["explain-auc", "--data", data, "--label-column", "class",
+                    "--out", str(out)])
+        assert code == 0
+        with (out / "attribution.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert all(len(row) == 3 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"va,r", 'sk"ew', "kurtosis", "entropy"}
+        # The payoff table names members; it parses into 3 cells a row too.
+        with (out / "payoffs.csv").open(newline="") as handle:
+            assert all(len(row) == 3 for row in csv.reader(handle))
+
+    def test_duplicate_new_name_round_trips(self, tmp_path):
+        out = tmp_path / "run"
+        code = run(["duplicate", "--data", BANKNOTE, "--label-column", "class",
+                    "--out", str(out), "--feature", "variance", "--new-name", 'v,"2"'])
+        assert code == 0
+        d = cs.load_csv(out / "dataset.csv", "class")
+        assert d.feature_names[-1] == 'v,"2"'
+        assert (d.features[:, 4] == d.features[:, 0]).all()
+
+
+class TestUnwritableOutput:
+    def test_out_names_a_file(self, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("x")
+        argv = ["explain-auc", "--data", BANKNOTE, "--label-column", "class",
+                "--out", str(target)]
+        assert run(argv) == 3
+        assert only_error(capsys)["error"] == "FileExistsError"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"command": "explain-auc", "data": BANKNOTE, "label_column": "class",
+             "out": str(target)}
+        ))
+        assert run(["replay", str(manifest)]) == 3
+        assert only_error(capsys)["error"] == "FileExistsError"
+
+    def test_feature_name_that_is_a_path(self, tmp_path, capsys):
+        data = banknote_with_header(tmp_path, "v/x,skewness,kurtosis,entropy,class")
+        code = run(["uncertainty", "--data", data, "--label-column", "class",
+                    "--out", str(tmp_path / "run"), "--iterations", "2",
+                    "--grid-size", "11", "--slices"])
+        assert code == 3
+        assert only_error(capsys)["error"] == "FileNotFoundError"

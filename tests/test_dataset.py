@@ -87,6 +87,24 @@ class TestLoadCsv:
         d = cs.load_csv(path, "y")
         assert d.n_rows == 2
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        """Spreadsheet tools write UTF-8 with a BOM; it is not part of a name."""
+        path = write(tmp_path, "\ufeffy,a\n0,1\n1,2\n")
+        assert cs.load_csv(path, "y").feature_names == ("a",)
+        path = write(tmp_path, "\ufeffa,y\n0,1\n1,0\n")
+        assert cs.load_csv(path, "y").feature_names == ("a",)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y\n1\xff,0\n2,1\n")
+        with pytest.raises(errors.DataError, match="cannot parse"):
+            cs.load_csv(path, "y")
+
+    def test_oversized_cell_rejected(self, tmp_path):
+        path = write(tmp_path, "a,y\n1" + "0" * 200_000 + ",0\n2,1\n")
+        with pytest.raises(errors.DataError, match="field larger"):
+            cs.load_csv(path, "y")
+
 
 class TestDatasetValidation:
     def test_single_class_rejected(self):
@@ -262,6 +280,15 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.features, blobs.features)
         np.testing.assert_array_equal(back.labels, blobs.labels)
         assert back.feature_names == blobs.feature_names
+
+    def test_names_with_commas_quotes_and_newlines(self, tmp_path):
+        names = ("va,r", 'sk"ew', "kur\ntosis", "a\rb", "plain")
+        d = cs.Dataset(np.arange(10.0).reshape(2, 5), np.array([0, 1]), names)
+        path = tmp_path / "out.csv"
+        write_dataset_csv(d, path, "la,bel")
+        back = cs.load_csv(path, "la,bel")
+        assert back.feature_names == names
+        np.testing.assert_array_equal(back.features, d.features)
 
 
 class TestBanknoteFixture:

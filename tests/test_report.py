@@ -1,3 +1,4 @@
+import csv
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -76,6 +77,22 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [(1, 0.25), (2, 0.5)])
         assert path.read_text() == "a,b\n1,0.25\n2,0.5\n"
+
+    def test_string_cells_quoted_only_when_needed(self):
+        assert format_cell("va,r") == '"va,r"'
+        assert format_cell('sk"ew') == '"sk""ew"'
+        assert format_cell("a\nb") == '"a\nb"'
+        assert format_cell("a\rb") == '"a\rb"'
+        assert format_cell("a b+c") == "a b+c"
+        assert format_cell("") == ""
+
+    def test_write_csv_quotes_header_and_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["feature", "x,y"], [("va,r", 0.5), ('q"', 1)])
+        with path.open(newline="") as handle:
+            assert list(csv.reader(handle)) == [
+                ["feature", "x,y"], ["va,r", "0.5"], ['q"', "1"],
+            ]
 
     def test_percent_labels(self):
         assert percent(0.9403) == "94.03%"

@@ -39,6 +39,12 @@ class TestMcConfig:
         with pytest.raises(errors.DataError):
             McConfig(iterations=1)
 
+    def test_split_parameters_checked_on_construction(self):
+        with pytest.raises(errors.DataError, match="train_fraction"):
+            McConfig(2, train_fraction=1.5)
+        with pytest.raises(errors.DataError, match="seed"):
+            McConfig(2, base_seed=-1)
+
     def test_grid_validation(self):
         with pytest.raises(errors.DataError):
             McConfig(iterations=2, grid=np.array([0.5]))

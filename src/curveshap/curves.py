@@ -5,6 +5,12 @@ into a single step.  `roc_curves` / `pr_curves` sweep every row of an
 (M, rows) score array at once; `roc_from_scores` / `pr_from_scores` are their
 one-row case.  `estimate_tpr` / `estimate_precision` answer "what is
 the curve's value at this abscissa" under the three bracketing strategies.
+
+The sweep's sort need not be stable.  A row with ties reads its tp/fp counts
+only at the last index of each tied group, where they count the whole group
+whatever order the sort left inside it; NaN scores, which sort last, form one
+such group.  So a curve depends only on the (score, label) pairs, not on the
+order inside a tie.
 """
 
 from __future__ import annotations
@@ -80,12 +86,15 @@ def check_grid(grid) -> np.ndarray:
 def _sweep(scores: np.ndarray, labels: np.ndarray):
     """Cumulative tp/fp counts of every row of `scores` (M, rows), swept
     from the highest score down, and where each row's next score differs."""
-    order = np.argsort(-scores, axis=1, kind="stable")
+    order = np.argsort(-scores, axis=1)
     sorted_scores = scores[np.arange(scores.shape[0])[:, np.newaxis], order]
     sorted_labels = labels[order]
     tp = np.cumsum(sorted_labels == 1, axis=1)
     fp = np.cumsum(sorted_labels == 0, axis=1)
-    return tp, fp, sorted_scores[:, 1:] != sorted_scores[:, :-1]
+    # NaN scores sort last; they form one tied group, like equal scores.
+    distinct = sorted_scores[:, 1:] != sorted_scores[:, :-1]
+    distinct &= ~np.isnan(sorted_scores[:, :-1])
+    return tp, fp, distinct
 
 
 def _roc_points(tp, fp, n_pos, n_neg):

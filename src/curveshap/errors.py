@@ -59,6 +59,12 @@ class IndexOutOfRange(DataError):
         self.index = index
 
 
+class RepeatedColumn(DataError):
+    def __init__(self, index: int):
+        super().__init__(f"feature index {index} appears more than once in a coalition")
+        self.index = index
+
+
 class InfeasibleProportion(DataError):
     """The requested class proportion cannot be met by down-sampling."""
 

@@ -14,20 +14,42 @@ positive prior.
 size as an (M, k) index array scored in one pass.  One coalition gives
 (rows,) scores and a batch (M, rows); each row of a batch equals its
 coalition scored alone, bit for bit.
+
+A row's log-likelihood is the sum of its k per-feature terms added in
+ascending order of value, so it does not depend on the order of the
+coalition's columns.  The sum is, bit for bit, numpy's add-reduce of the
+sorted terms along a C-contiguous last axis: fewer than eight values are
+added one by one from 0.0; eight to 128 go to eight accumulators stepping by
+eight, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the rest are then
+added in order.  For k up to NETWORK_WIDTH the terms of a batch are laid out
+feature-major, one (M, rows) plane per feature; a comparator network sorts
+the planes with whole-plane minimum/maximum, and the planes are added in that
+order with one numpy call per plane, not per lane.  Wider coalitions keep
+each lane's k terms C-contiguous, sort them and let numpy sum them: its
+add-reduce of a strided view can add in another order and change the bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ArityMismatch, IndexOutOfRange, SingleClassTrainingSet
+from .errors import (
+    ArityMismatch,
+    IndexOutOfRange,
+    RepeatedColumn,
+    SingleClassTrainingSet,
+)
 
 VAR_SMOOTHING = 1e-9
 VAR_FLOOR = 1e-12
+# Widest coalition whose terms are sorted by a comparator network; wider ones
+# sort each lane.  The crossover was measured per k on 16K-score batches.
+NETWORK_WIDTH = 12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -83,6 +105,70 @@ def _smoothing(column_variances: np.ndarray) -> np.ndarray:
     )
 
 
+@cache
+def _network(k: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd–even merge sort of k values: comparators (i, j), i < j,
+    each leaving the smaller value at i.  It is built for the next power of
+    two and keeps the comparators within k; the dropped ones would compare a
+    value with +inf padding past k and move nothing."""
+    width = 1
+    while width < k:
+        width *= 2
+    pairs = []
+    p = 1
+    while p < width:
+        step = p
+        while step >= 1:
+            for j in range(step % p, width - step, 2 * step):
+                for i in range(j, j + min(step, width - j - step)):
+                    if i // (2 * p) == (i + step) // (2 * p) and i + step < k:
+                        pairs.append((i, i + step))
+            step //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _terms(sq: np.ndarray, var: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    """The log-likelihood terms -0.5 * (log 2π + log var + (x - mean)² / var),
+    computed in place in the gathered squared deviations `sq`: the block is
+    the batch's largest array.  `log_norm` is log 2π + log var."""
+    sq /= var
+    sq += log_norm
+    sq *= -0.5
+    return sq
+
+
+def _network_sum(planes: np.ndarray, out: np.ndarray) -> None:
+    """Write to `out` the sum over the first axis of `planes` (k, ...), added
+    in ascending order of value exactly as numpy adds the sorted values along
+    a C-contiguous last axis: the same bits as `np.sort(a).sum(axis=-1)`.
+
+    `planes` is overwritten.  k must be at most 128, numpy's pairwise block.
+    """
+    p, spare = list(planes), np.empty_like(out)
+    for i, j in _network(len(p)):
+        np.minimum(p[i], p[j], out=spare)
+        np.maximum(p[i], p[j], out=p[j])
+        p[i], spare = spare, p[i]
+    if len(p) < 8:
+        # numpy adds fewer than eight values one after another from 0.0.
+        out[...] = 0.0
+        for plane in p:
+            out += plane
+        return
+    # Eight accumulators step through the values by eight, are combined
+    # pairwise, and the values past the last full step follow one by one;
+    # the reduction then adds that sum to its identity, 0.0.
+    full = len(p) - len(p) % 8
+    for i in range(8, full):
+        p[i % 8] += p[i]
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        p[a] += p[b]
+    for plane in p[full:]:
+        p[0] += plane
+    np.add(p[0], 0.0, out=out)
+
+
 def score(
     m: TrainedModel, test: Dataset, columns: Sequence[int] | np.ndarray | None = None
 ) -> np.ndarray:
@@ -105,26 +191,33 @@ def score(
     outside = cols[(cols < 0) | (cols >= m.n_features)]
     if outside.size:
         raise IndexOutOfRange(int(outside[0]), m.n_features)
+    ordered = np.sort(cols, axis=1)
+    repeated = ordered[:, 1:][ordered[:, 1:] == ordered[:, :-1]]
+    if repeated.size:
+        raise RepeatedColumn(int(repeated[0]))
     variances = (np.take(m.ml_variances, cols, axis=1)
                  + _smoothing(np.take(m.column_variances, cols))[:, np.newaxis])
-    log_joint = np.empty((test.n_rows, cols.shape[0], 2))
+    log_norms = _LOG_2PI + np.log(variances)
+    log_joint = np.empty((2, cols.shape[0], test.n_rows))
     for c in (0, 1):
-        var = variances[c]
-        # Each term is -0.5 * (log 2π + log var + (x - mean)² / var).  The
-        # squared deviation does not depend on the coalition, so it is
-        # computed once per column; np.take then gives one C-contiguous
-        # (rows, M, k) block, so each coalition's terms of a row are sorted
-        # and summed in the order a retrained model's are.  The block is
-        # updated in place: it is the batch's largest array.
-        terms = np.take((test.features - m.means[c]) ** 2, cols, axis=1)
-        terms /= var
-        terms += _LOG_2PI + np.log(var)
-        terms *= -0.5
-        # Summing the per-feature terms in value order makes the scores
-        # independent of column order, so coalition projections that
-        # differ only in feature position score bit-identically.
-        terms.sort(axis=-1)
-        log_joint[..., c] = np.log(m.priors[c]) + terms.sum(axis=-1)
+        # The squared deviation does not depend on the coalition, so it is
+        # computed once per column and gathered by np.take.  Summing each
+        # lane's terms in value order makes the scores independent of column
+        # order, so coalition projections that differ only in feature
+        # position score bit-identically.
+        sq = (test.features - m.means[c]) ** 2
+        if cols.shape[1] <= NETWORK_WIDTH:
+            # Feature-major (k, M, rows): a comparator network sorts whole
+            # (M, rows) planes, which are then added in numpy's own order.
+            planes = _terms(np.take(sq.T, cols.T, axis=0),
+                            variances[c].T[..., np.newaxis], log_norms[c].T[..., np.newaxis])
+            _network_sum(planes, out=log_joint[c])
+        else:
+            # Lanes of a C-contiguous (rows, M, k) block, as sort and sum need.
+            lanes = _terms(np.take(sq, cols, axis=1), variances[c], log_norms[c])
+            lanes.sort(axis=-1)
+            log_joint[c] = lanes.sum(axis=-1).T
+        log_joint[c] += np.log(m.priors[c])
     # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), evaluated stably.
-    scores = np.exp(log_joint[..., 1] - np.logaddexp(log_joint[..., 0], log_joint[..., 1]))
-    return np.ascontiguousarray(scores.T) if batch else scores[:, 0]
+    scores = np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))
+    return scores if batch else scores[0]

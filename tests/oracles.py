@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's own algorithms: AUC comes from
 brute-force pair counting, Shapley values from averaging marginals over
-every permutation.  They are slow and obviously correct.
+every permutation.  They are slow and obviously correct.  The scoring and
+sweep references restate one lane or one row at a time the formulas that the
+package's batched code must match bit for bit.
 """
 
 from __future__ import annotations
@@ -44,3 +46,51 @@ def random_game(rng: np.random.Generator, n: int) -> dict[int, float]:
     for mask in range(1, 1 << n):
         payoffs[mask] = float(rng.uniform(-1.0, 1.0))
     return payoffs
+
+
+def sorted_sum_scores(m, test, cols) -> np.ndarray:
+    """(M, rows) GNB scores of an (M, k) batch of coalitions, summing each
+    lane's terms as `np.sort(...).sum(axis=-1)` does on a C-contiguous
+    (rows, M, k) block: the formula the package's network must reproduce."""
+    from curveshap.model import VAR_FLOOR, VAR_SMOOTHING
+
+    cols = np.asarray(cols, dtype=np.intp)
+    smoothing = np.maximum(
+        VAR_SMOOTHING * np.take(m.column_variances, cols).max(axis=-1, initial=0.0),
+        VAR_FLOOR,
+    )
+    variances = np.take(m.ml_variances, cols, axis=1) + smoothing[:, np.newaxis]
+    log_joint = []
+    for c in (0, 1):
+        var = variances[c]
+        terms = np.take((test.features - m.means[c]) ** 2, cols, axis=1)
+        terms /= var
+        terms += np.log(2.0 * np.pi) + np.log(var)
+        terms *= -0.5
+        terms = np.ascontiguousarray(terms)
+        terms.sort(axis=-1)
+        log_joint.append(np.log(m.priors[c]) + terms.sum(axis=-1))
+    l0, l1 = log_joint
+    return np.ascontiguousarray(np.exp(l1 - np.logaddexp(l0, l1)).T)
+
+
+def stable_sweep_curve(scores, labels, family: str):
+    """(x, y, area) of the ROC (`family` "roc") or PR ("pr") curve of one row
+    of scores: a stable descending sort, each tied group collapsed to its
+    last index, and a trapezoid over the points."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(labels[order] == 1)[last]
+    fp = np.cumsum(labels[order] == 0)[last]
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    if family == "roc":
+        x = np.concatenate([[0.0], fp / n_neg])
+        y = np.concatenate([[0.0], tp / n_pos])
+    else:
+        precision = tp / (tp + fp)
+        x = np.concatenate([[0.0], tp / n_pos])
+        y = np.concatenate([precision[:1], precision])
+    return x, y, float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))

@@ -19,7 +19,7 @@ from curveshap.curves import (
     trapezoid,
 )
 
-from oracles import auc_rank_statistic
+from oracles import auc_rank_statistic, stable_sweep_curve
 
 STRATEGIES = tuple(Strategy)
 
@@ -274,3 +274,38 @@ def test_batch_rows_equal_single_rows(seed):
                 np.testing.assert_array_equal(getattr(curve, field), getattr(alone, field))
         for row, curve in zip(scores, roc_curves(scores, labels)):
             assert abs(curve.auc - auc_rank_statistic(row, labels)) < 1e-12
+
+
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**32 - 1), decimals=st.integers(1, 3))
+def test_heavy_ties_match_stable_sweep(seed, decimals):
+    """The sweep's sort is not stable; no curve can tell: points and areas
+    equal, bit for bit, those of a stable sort with tied groups collapsed."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, 800)
+    labels[:2] = [0, 1]
+    scores = rng.random((6, 800)) ** 2
+    scores[1:] = np.round(scores[1:], decimals)   # row 0 stays tie-free
+    for family, batch, fields in (
+        ("roc", roc_curves, ("fpr", "tpr", "auc")),
+        ("pr", pr_curves, ("recall", "precision", "auprc")),
+    ):
+        for row, curve in zip(scores, batch(scores, labels)):
+            for field, want in zip(fields, stable_sweep_curve(row, labels, family)):
+                got = np.asarray(getattr(curve, field))
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              np.asarray(want).view(np.int64))
+
+
+def test_nan_scores_form_one_tied_group():
+    """NaN scores rank last as one step, whatever the order of their rows."""
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 2, 300)
+    scores = rng.random(300)
+    scores[rng.random(300) < 0.3] = np.nan
+    perm = rng.permutation(300)
+    for single in (roc_from_scores, pr_from_scores):
+        base = single(scores, labels)
+        np.testing.assert_array_equal(single(scores[perm], labels[perm]).points, base.points)
+        # the origin, one point per finite score, one for the NaN group
+        assert len(base.points) == 2 + np.isfinite(scores).sum()

@@ -8,9 +8,22 @@ from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import errors
-from curveshap.model import VAR_FLOOR, score, train_gnb
+from curveshap.model import (
+    NETWORK_WIDTH,
+    VAR_FLOOR,
+    _network,
+    _network_sum,
+    score,
+    train_gnb,
+)
 
 from conftest import make_blobs
+from oracles import sorted_sum_scores
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def one_feature_dataset():
@@ -191,3 +204,65 @@ class TestScoreColumns:
         m = train_gnb(blobs)
         with pytest.raises(errors.IndexOutOfRange):
             score(m, blobs, np.array([[0, 1], [1, blobs.n_features]]))
+
+    def test_repeated_column_rejected(self, blobs):
+        m = train_gnb(blobs)
+        with pytest.raises(errors.RepeatedColumn) as exc:
+            score(m, blobs, [0, 0])
+        assert exc.value.index == 0
+        with pytest.raises(errors.RepeatedColumn) as exc:
+            score(m, blobs, np.array([[0, 1], [1, 1]]))
+        assert exc.value.index == 1
+
+
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 120))
+def test_score_batches_equal_sorted_sum_oracle(seed, rows):
+    """Batches of every width from 0 to 20, on both sides of NETWORK_WIDTH,
+    score bit for bit as the sort-and-sum formula.  The last 22 columns have
+    variances below 1e-3 and the very last is constant, so the batch's last
+    coalition, drawn from them alone, is smoothed at VAR_FLOOR."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, rows)
+    labels[:2] = [0, 1]
+    spread = rng.normal(size=(rows, 22)) * 10.0 ** rng.uniform(-1, 3, 22)
+    tiny = rng.normal(size=(rows, 22)) * 1e-3
+    tiny[:, -1] = 0.25
+    d = cs.Dataset(np.hstack([spread + labels[:, None], tiny]), labels,
+                   tuple(f"f{i}" for i in range(44)))
+    m = train_gnb(d)
+    for k in range(21):
+        batch = np.array([rng.permutation(44)[:k] for _ in range(5)]
+                         + [np.arange(44 - k, 44)[::-1]], dtype=np.intp).reshape(6, k)
+        assert_same_bits(score(m, d, batch), sorted_sum_scores(m, d, batch))
+
+
+class TestNetworkSum:
+    @pytest.mark.parametrize("k", range(1, NETWORK_WIDTH + 1))
+    def test_network_sorts_every_binary_input(self, k):
+        """A comparator network that sorts every 0/1 input sorts every input."""
+        bits = ((np.arange(1 << k)[:, np.newaxis] >> np.arange(k)) & 1).astype(float)
+        planes = list(bits.T)
+        for i, j in _network(k):
+            planes[i], planes[j] = np.minimum(planes[i], planes[j]), np.maximum(planes[i], planes[j])
+        np.testing.assert_array_equal(np.array(planes).T, np.sort(bits, axis=1))
+
+    @pytest.mark.parametrize("k", range(1, NETWORK_WIDTH + 1))
+    def test_network_sum_is_numpys_sorted_sum(self, k):
+        """Guards the summation order: a numpy whose add-reduce of a
+        contiguous last axis adds in another order fails here."""
+        rng = np.random.default_rng(k)
+        lanes = rng.standard_normal((4000, k)) * 10.0 ** rng.integers(-8, 9, (4000, k))
+        special = rng.random((4000, k))
+        lanes[special < 0.03] = np.inf
+        lanes[(0.03 <= special) & (special < 0.06)] = -np.inf
+        lanes[(0.06 <= special) & (special < 0.1)] = -0.0
+        lanes[(0.1 <= special) & (special < 0.11)] = np.nan
+        lanes[:3] = [-0.0], [0.0], [np.nan]
+        got = np.empty(len(lanes))
+        with np.errstate(invalid="ignore"):     # inf - inf
+            want = np.ascontiguousarray(np.sort(lanes, axis=-1)).sum(axis=-1)
+            _network_sum(np.ascontiguousarray(lanes.T), out=got)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert_same_bits(got[~nan], want[~nan])

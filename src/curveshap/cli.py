@@ -2,7 +2,10 @@
 
 Each subcommand loads a CSV, runs one attribution pipeline, and writes its
 artifacts (CSV, SVG, a text summary, and a JSON run manifest) into the
-output directory.  `replay` re-executes a previously written manifest and
+output directory.  The pipeline writes into a staging directory inside it;
+`main` moves the artifacts into place only once the whole run has
+succeeded, so a failed run adds nothing.  Every artifact is UTF-8, whatever
+the locale.  `replay` re-executes a previously written manifest and
 reproduces the artifacts bit for bit.
 
 Exit codes: 0 success, 2 argument error, 3 data error (an unreadable or
@@ -13,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,7 @@ from .dataset import (
     split,
     subsample_imbalance,
     write_dataset_csv,
+    write_text,
 )
 from .errors import CurveshapError, DataError
 from .game import GameSpec, Target, evaluate_all, evaluate_slices
@@ -208,30 +215,12 @@ def _split(d: Dataset, params: dict):
     return split(d, SplitSpec(params["train_fraction"], params["seed"]))
 
 
-def _strategy(params: dict) -> Strategy:
-    return Strategy(params.get("strategy") or "interpolation")
-
-
 def _area_attribution(spec: GameSpec, params: dict):
     """Exact (with payoff table) or sampled (table-less) attribution."""
     if params.get("sampled"):
         return shapley_sampled(spec, params["sampled"], params["seed"]), None
     table = evaluate_all(spec)
     return shapley_exact(table), table
-
-
-def _out_dir(params: dict) -> Path:
-    out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _finish(out: Path, params: dict, lines: list[str]) -> None:
-    """Write the run's summary and its manifest."""
-    out.joinpath("summary.txt").write_text("\n".join(lines) + "\n")
-    out.joinpath(MANIFEST_NAME).write_text(
-        json.dumps(params, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def _write_attribution(out: Path, stem: str, attr: Attribution) -> None:
@@ -246,11 +235,11 @@ def _ranking(names, values, cells) -> list[str]:
     return [f"  {names[i]:<{width}}  {cells[i]}" for i in order]
 
 
-def _explain_area(spec: GameSpec, params: dict, suffix: str, label: str, notes=()) -> list[str]:
+def _explain_area(spec: GameSpec, params: dict, out: Path, suffix: str, label: str,
+                  notes=()) -> list[str]:
     """Attribute an area or single-slice game, write `attribution<suffix>.*`
     (and `payoffs<suffix>.csv` in exact mode), and return its summary lines."""
     attr, table = _area_attribution(spec, params)
-    out = _out_dir(params)
     _write_attribution(out, f"attribution{suffix}", attr)
     if table is not None:
         report.write_csv(out / f"payoffs{suffix}.csv", *report.payoff_rows(table))
@@ -263,40 +252,30 @@ def _explain_area(spec: GameSpec, params: dict, suffix: str, label: str, notes=(
 
 
 # ----------------------------------------------------------------------
-# Runners
+# Runners: each writes its artifacts into `out` and returns the summary lines
 # ----------------------------------------------------------------------
 
-def _run_area(params: dict, target: Target) -> None:
+def _run_area(target: Target, params: dict, out: Path) -> list[str]:
     d = _load(params)
     train, test = _split(d, params)
     notes = []
     if target.kind == game.AUPRC:
         notes.append(f"positive proportion: {d.n_positive / d.n_rows:.4f}")
-    lines = _explain_area(GameSpec(target, train, test), params, "", "achieved", notes)
-    _finish(_out_dir(params), params, [f"target: {target.describe()}", *lines])
+    lines = _explain_area(GameSpec(target, train, test), params, out, "", "achieved", notes)
+    return [f"target: {target.describe()}", *lines]
 
 
-def run_explain_auc(params: dict) -> None:
-    _run_area(params, Target.auc())
-
-
-def run_explain_auprc(params: dict) -> None:
-    _run_area(params, Target.auprc())
-
-
-def _run_slice_curves(params: dict, kind: str) -> None:
+def _run_slice_curves(kind: str, params: dict, out: Path) -> list[str]:
     d = _load(params)
     train, test = _split(d, params)
-    strategy = _strategy(params)
+    strategy = Strategy(params["strategy"])
     spec = GameSpec(Target(kind), train, test, strategy)
     grid = default_grid(params["grid_size"])
     if params.get("sampled"):
         ca = shapley_sampled_curve(spec, grid, params["sampled"], params["seed"])
     else:
         ca = shapley_curve(evaluate_slices(spec, grid))
-    out = _out_dir(params)
-    header, rows = report.curve_attribution_rows(ca)
-    report.write_csv(out / "contributions.csv", header, rows)
+    report.write_csv(out / "contributions.csv", *report.curve_attribution_rows(ca))
     report.write_svg(out / "contributions.svg", report.contribution_curves(ca).to_svg())
     report.write_svg(out / "relative.svg", report.relative_contributions(ca).to_svg())
 
@@ -309,26 +288,17 @@ def _run_slice_curves(params: dict, kind: str) -> None:
     q = params.get(abscissa_key)
     if q is not None:
         lines += _explain_area(
-            GameSpec(Target(kind, q), train, test, strategy), params,
+            GameSpec(Target(kind, q), train, test, strategy), params, out,
             f"_{abscissa_key}", f"slice at {abscissa_key}={q:g}",
         )
     mean_abs = np.abs(ca.values).mean(axis=1)
-    lines += [
+    return lines + [
         "mean |phi| over grid:",
         *_ranking(ca.feature_names, mean_abs, [f"{100.0 * v:.2f}%" for v in mean_abs]),
     ]
-    _finish(out, params, lines)
 
 
-def run_explain_roc(params: dict) -> None:
-    _run_slice_curves(params, game.ROC_SLICE)
-
-
-def run_explain_prc(params: dict) -> None:
-    _run_slice_curves(params, game.PRC_SLICE)
-
-
-def run_uncertainty(params: dict) -> None:
+def run_uncertainty(params: dict, out: Path) -> list[str]:
     d = _load(params)
     cfg = McConfig(
         params["iterations"], params["seed"], params["train_fraction"],
@@ -338,33 +308,21 @@ def run_uncertainty(params: dict) -> None:
     targets = [Target.auc(), Target(game.ROC_SLICE)] if slices else [Target.auc()]
     band, attributions = mc_bands(d, cfg, "roc", targets)
     mca = attributions[0]
-    out = _out_dir(params)
-    header, rows = report.banded_rows(band, "fpr")
-    report.write_csv(out / "roc_band.csv", header, rows)
+    report.write_csv(out / "roc_band.csv", *report.banded_rows(band, "fpr"))
     report.write_svg(
         out / "roc_band.svg",
         report.banded_plot(band, title="Monte-Carlo ROC").to_svg(),
     )
-    header, rows = report.mc_attribution_rows(mca)
-    report.write_csv(out / "attribution_mc.csv", header, rows)
+    report.write_csv(out / "attribution_mc.csv", *report.mc_attribution_rows(mca))
     report.write_svg(
         out / "attribution_mc.svg",
         report.attribution_whiskers(
             mca, title=f"AUC attribution over {cfg.iterations} iterations"
         ).to_svg(),
     )
-    lines = [
-        f"iterations: {cfg.iterations}",
-        f"mean achieved AUC: {report.percent(mca.mean_total)}",
-        "mean phi (std):",
-        *_ranking(mca.feature_names, mca.mean, [
-            f"{100.0 * m:+.2f}% (±{100.0 * s:.2f}%)" for m, s in zip(mca.mean, mca.std)
-        ]),
-    ]
     if slices:
         mcca = attributions[1]
-        header, rows = report.slice_band_rows(mcca)
-        report.write_csv(out / "slice_bands.csv", header, rows)
+        report.write_csv(out / "slice_bands.csv", *report.slice_band_rows(mcca))
         for name in mcca.feature_names:
             fb = mcca.feature_band(name)
             report.write_svg(
@@ -375,63 +333,90 @@ def run_uncertainty(params: dict) -> None:
                     color=report.color_for(mcca.feature_names.index(name)),
                 ).to_svg(),
             )
-    _finish(out, params, lines)
+    return [
+        f"iterations: {cfg.iterations}",
+        f"mean achieved AUC: {report.percent(mca.mean_total)}",
+        "mean phi (std):",
+        *_ranking(mca.feature_names, mca.mean, [
+            f"{100.0 * m:+.2f}% (±{100.0 * s:.2f}%)" for m, s in zip(mca.mean, mca.std)
+        ]),
+    ]
 
 
-def run_feature_select(params: dict) -> None:
+def run_feature_select(params: dict, out: Path) -> list[str]:
     d = _load(params)
     target = Target.auc() if params["target"] == "auc" else Target.auprc()
     reduced = drop_features(d, params["drop"])
     if reduced.n_features == 0:
         raise DataError("cannot drop every feature")
-    out = _out_dir(params)
+    sets = {"full": d, "reduced": reduced}
     results = {}
-    for tag, data in (("full", d), ("reduced", reduced)):
+    for tag, data in sets.items():
         train, test = _split(data, params)
-        spec = GameSpec(target, train, test)
-        attr, _ = _area_attribution(spec, params)
-        results[tag] = attr
-        _write_attribution(out, f"attribution_{tag}", attr)
+        results[tag], _ = _area_attribution(GameSpec(target, train, test), params)
+        _write_attribution(out, f"attribution_{tag}", results[tag])
+    report.write_csv(out / "selection.csv", ["set", "n_features", "features", target.kind], [
+        (tag, data.n_features, "+".join(data.feature_names), results[tag].total)
+        for tag, data in sets.items()
+    ])
     delta = results["reduced"].total - results["full"].total
-    header = ["set", "n_features", "features", target.kind]
-    rows = [
-        ("full", d.n_features, "+".join(d.feature_names), results["full"].total),
-        ("reduced", reduced.n_features, "+".join(reduced.feature_names),
-         results["reduced"].total),
-    ]
-    report.write_csv(out / "selection.csv", header, rows)
-    _finish(out, params, [
+    return [
         f"target: {target.describe()}",
         f"dropped: {', '.join(params['drop'])}",
         f"full set:    {report.percent(results['full'].total)}",
         f"reduced set: {report.percent(results['reduced'].total)}",
         f"delta: {100.0 * delta:+.2f} points",
-    ])
+    ]
 
 
-def run_duplicate(params: dict) -> None:
+def run_duplicate(params: dict, out: Path) -> list[str]:
     d = _load(params)
     index = d.feature_index(params["feature"])
     new_name = params.get("new_name") or f"{params['feature']}_copy"
     augmented = duplicate_feature(d, index, new_name)
-    out = _out_dir(params)
     write_dataset_csv(augmented, out / "dataset.csv", params["label_column"])
-    _finish(out, params, [
+    return [
         f"duplicated feature: {params['feature']} -> {new_name}",
         f"columns: {', '.join(augmented.feature_names)}",
         f"rows: {augmented.n_rows}",
-    ])
+    ]
 
 
 RUNNERS = {
-    "explain-auc": run_explain_auc,
-    "explain-roc": run_explain_roc,
-    "explain-prc": run_explain_prc,
-    "explain-auprc": run_explain_auprc,
+    "explain-auc": partial(_run_area, Target.auc()),
+    "explain-roc": partial(_run_slice_curves, game.ROC_SLICE),
+    "explain-prc": partial(_run_slice_curves, game.PRC_SLICE),
+    "explain-auprc": partial(_run_area, Target.auprc()),
     "uncertainty": run_uncertainty,
     "feature-select": run_feature_select,
     "duplicate": run_duplicate,
 }
+
+
+def _run(params: dict) -> None:
+    """Run `params`' command into a fresh staging directory inside `--out`,
+    add the summary and the manifest, and move every file into `--out`.
+
+    A run that fails adds nothing to `--out`; the directories this call
+    created for it are removed again.
+    """
+    out = Path(params["out"]).resolve()
+    created = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        try:
+            lines = RUNNERS[params["command"]](params, stage)
+            write_text(stage / "summary.txt", "\n".join(lines) + "\n")
+            write_text(stage / MANIFEST_NAME, json.dumps(params, indent=2, sort_keys=True) + "\n")
+            for path in stage.iterdir():
+                path.replace(out / path.name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
 
 
 def _error_record(exc: Exception) -> None:
@@ -476,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if params is None:
             params = _replay_params(parser, args.manifest)
-        RUNNERS[params["command"]](params)
+        _run(params)
     except CurveshapError as exc:
         _error_record(exc)
         return 3 if isinstance(exc, DataError) else 4

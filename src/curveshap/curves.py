@@ -67,10 +67,14 @@ def trapezoid(y: np.ndarray, x: np.ndarray):
 
 
 def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Evenly spaced abscissa grid over [0, 1]."""
+    """Evenly spaced abscissa grid over [0, 1]; a size numpy cannot allocate
+    is a DataError."""
     if size < 2:
         raise DataError(f"grid needs at least 2 points, got {size}")
-    return np.linspace(0.0, 1.0, size)
+    try:
+        return np.linspace(0.0, 1.0, size)
+    except (MemoryError, ValueError) as exc:   # ValueError: "array is too big"
+        raise DataError(f"cannot allocate a grid of {size} points: {exc}") from None
 
 
 def check_grid(grid) -> np.ndarray:

@@ -206,6 +206,11 @@ def csv_cell(text: str) -> str:
     return text
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write an artifact's text as UTF-8, whatever the locale's encoding."""
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def _parse_label(text: str, line_no: int) -> int:
     try:
         value = float(text)
@@ -303,7 +308,7 @@ def write_dataset_csv(d: Dataset, path: str | Path, label_column: str = "class")
     lines = [",".join(map(csv_cell, (*d.feature_names, label_column)))]
     for row, label in zip(d.features, d.labels):
         lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def banknote_path() -> Path:

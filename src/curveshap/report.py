@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import csv_cell
+from .dataset import csv_cell, write_text
 from .errors import DataError
 from .game import PRC_SLICE, ROC_SLICE, PayoffTable
 from .shapley import EFFICIENCY_TOL, Attribution, CurveAttribution
@@ -59,7 +59,7 @@ def format_cell(value) -> str:
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(map(csv_cell, header))]
     lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def attribution_rows(attr: Attribution):
@@ -570,4 +570,4 @@ def render_waterfall(wf: WaterfallSpec) -> str:
 
 
 def write_svg(path: str | Path, svg: str) -> None:
-    Path(path).write_text(svg + "\n")
+    write_text(path, svg + "\n")

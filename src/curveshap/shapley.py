@@ -105,27 +105,32 @@ def _subset_weights(n: int) -> np.ndarray:
     )
 
 
-def _shapley_map(payoffs: np.ndarray) -> np.ndarray:
-    """Shapley values, shape (n, m), of m stacked payoff vectors, shape (m, 2^n).
+def _shapley_map(payoffs) -> np.ndarray:
+    """Shapley values, shape (n, m), of m payoff vectors of length 2^n: an
+    (m, 2^n) array or a sequence of rows.
 
-    The weights are rebuilt per call in O(2^n): a cached (n, 2^n) weight
-    matrix would take 160 MB at the exact-mode cap.
+    At most SOLVE_FLOATS payoffs are stacked and solved at a time, which
+    bounds memory.  The weights are rebuilt per call in O(2^n): a cached
+    (n, 2^n) weight matrix would take 160 MB at the exact-mode cap.
     """
-    m, size = payoffs.shape
+    m, size = len(payoffs), len(payoffs[0])
     n = size.bit_length() - 1
     masks = np.arange(size, dtype=np.int64)
     sizes = np.zeros(size, dtype=np.int64)
     for i in range(n):
         sizes += (masks >> i) & 1
     weights = _subset_weights(n)
+    step = max(1, SOLVE_FLOATS >> n)
     values = np.empty((n, m))
-    for i in range(n):
-        without = masks[(masks >> i & 1) == 0]
-        # np.take keeps rows C-contiguous, so each row sums pairwise exactly
-        # as a single table's payoff vector would.
-        with_i = np.take(payoffs, without | (1 << i), axis=1)
-        gains = with_i - np.take(payoffs, without, axis=1)
-        values[i] = np.sum(weights[sizes[without]] * gains, axis=1)
+    for start in range(0, m, step):
+        chunk = np.stack(payoffs[start:start + step])
+        for i in range(n):
+            without = masks[(masks >> i & 1) == 0]
+            # np.take keeps rows C-contiguous, so each row sums pairwise exactly
+            # as a single table's payoff vector would.
+            with_i = np.take(chunk, without | (1 << i), axis=1)
+            gains = with_i - np.take(chunk, without, axis=1)
+            values[i, start:start + step] = np.sum(weights[sizes[without]] * gains, axis=1)
     return values
 
 
@@ -247,8 +252,7 @@ def shapley_sampled_curve(
 
 
 def shapley_curve(tables: list[PayoffTable]) -> CurveAttribution:
-    """Exact Shapley values per grid point, assembled into per-feature series.
-    At most SOLVE_FLOATS payoffs are solved at a time, which bounds memory."""
+    """Exact Shapley values per grid point, assembled into per-feature series."""
     if not tables:
         raise DataError("no payoff tables given")
     first = tables[0]
@@ -261,11 +265,7 @@ def shapley_curve(tables: list[PayoffTable]) -> CurveAttribution:
             raise DataError("tables disagree on target kind")
     abscissae = np.array([t.target.abscissa for t in tables])
     baselines = np.array([t.target.baseline() for t in tables])
-    step = max(1, SOLVE_FLOATS >> first.n)
-    values = np.concatenate([
-        _shapley_map(np.stack([t.values for t in tables[start:start + step]]))
-        for start in range(0, len(tables), step)
-    ], axis=1)
+    values = _shapley_map([t.values for t in tables])
     reference = baselines + np.array([t[t.full_mask] for t in tables])
     return CurveAttribution(
         first.feature_names, abscissae, values, reference, baselines,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import curveshap as cs
 from curveshap.cli import main
 
 BANKNOTE = str(cs.banknote_path())
+SRC = str(Path(cs.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -456,6 +460,10 @@ class TestReplay:
     ("explain-roc", "fpr", 1.5),
     ("explain-prc", "recall", -0.1),
     ("explain-roc", "grid_size", 1),
+    # Sizes numpy cannot allocate: it raises MemoryError for 2^57 floats and
+    # ValueError ("array is too big") for 2^60; neither allocates anything.
+    ("explain-roc", "grid_size", 2 ** 57),
+    ("explain-prc", "grid_size", 2 ** 60),
     ("uncertainty", "iterations", 1),
     ("explain-auc", "sampled", 0),
 ])
@@ -569,8 +577,89 @@ class TestUnwritableOutput:
 
     def test_feature_name_that_is_a_path(self, tmp_path, capsys):
         data = banknote_with_header(tmp_path, "v/x,skewness,kurtosis,entropy,class")
-        code = run(["uncertainty", "--data", data, "--label-column", "class",
-                    "--out", str(tmp_path / "run"), "--iterations", "2",
-                    "--grid-size", "11", "--slices"])
-        assert code == 3
+        argv = ["uncertainty", "--data", data, "--label-column", "class",
+                "--out", str(tmp_path / "run"), "--iterations", "2",
+                "--grid-size", "11", "--slices"]
+        assert run(argv) == 3
         assert only_error(capsys)["error"] == "FileNotFoundError"
+        # The run made --out, so it removes it again; into an existing --out
+        # it leaves no artifact and no staging directory.
+        assert not (tmp_path / "run").exists()
+        (tmp_path / "run").mkdir()
+        assert run(argv) == 3
+        assert only_error(capsys)["error"] == "FileNotFoundError"
+        assert list((tmp_path / "run").iterdir()) == []
+
+    def test_failed_load_leaves_no_directories(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "run"
+        assert run(["explain-auc", "--data", str(tmp_path / "missing.csv"),
+                    "--label-column", "class", "--out", str(out)]) == 3
+        assert only_error(capsys)["error"] == "FileNotFoundError"
+        assert list(tmp_path.iterdir()) == []
+
+
+ARTIFACTS = {"summary.txt", "manifest.json"}
+
+
+@pytest.mark.parametrize("argv, artifacts", [
+    (["explain-auc"], {"attribution.csv", "attribution.svg", "payoffs.csv"}),
+    (["explain-auc", "--sampled", "5"], {"attribution.csv", "attribution.svg"}),
+    (["explain-roc", "--grid-size", "11", "--fpr", "0.2"],
+     {"contributions.csv", "contributions.svg", "relative.svg",
+      "attribution_fpr.csv", "attribution_fpr.svg", "payoffs_fpr.csv"}),
+    (["explain-prc", "--grid-size", "11", "--sampled", "3", "--recall", "0.5"],
+     {"contributions.csv", "contributions.svg", "relative.svg",
+      "attribution_recall.csv", "attribution_recall.svg"}),
+    (["uncertainty", "--iterations", "2", "--grid-size", "11", "--slices"],
+     {"roc_band.csv", "roc_band.svg", "attribution_mc.csv", "attribution_mc.svg",
+      "slice_bands.csv", *(f"band_{name}.svg" for name in
+                           ("variance", "skewness", "kurtosis", "entropy"))}),
+    (["feature-select", "--drop", "entropy"],
+     {"selection.csv", "attribution_full.csv", "attribution_full.svg",
+      "attribution_reduced.csv", "attribution_reduced.svg"}),
+    (["duplicate", "--feature", "variance"], {"dataset.csv"}),
+])
+def test_out_holds_exactly_the_documented_artifacts(argv, artifacts, tmp_path):
+    out = tmp_path / "run"
+    assert run([*argv, "--data", BANKNOTE, "--label-column", "class",
+                "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == artifacts | ARTIFACTS
+    # A replay into a directory with an earlier run's files adds its own
+    # artifacts and leaves the others where they are.
+    again = tmp_path / "again"
+    again.mkdir()
+    (again / "earlier.txt").write_text("kept")
+    manifest = json.loads((out / "manifest.json").read_text())
+    (tmp_path / "m.json").write_text(json.dumps({**manifest, "out": str(again)}))
+    assert run(["replay", str(tmp_path / "m.json")]) == 0
+    assert {p.name for p in again.iterdir()} == artifacts | ARTIFACTS | {"earlier.txt"}
+    for name in artifacts | {"summary.txt"}:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["uncertainty", "--iterations", "2"], None),
+    (["explain-auc"], "température,skewness,kurtosis,entropy,class"),
+])
+def test_artifacts_are_utf8_under_any_locale(argv, header, tmp_path):
+    """`summary.txt` holds a ± and the artifacts of a non-ASCII feature name
+    hold that name: a C locale writes the same UTF-8 bytes as UTF-8 mode."""
+    data = BANKNOTE if header is None else banknote_with_header(tmp_path, header)
+    outs = {}
+    for mode, env in (("c", C_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        outs[mode] = tmp_path / mode
+        proc = subprocess.run(
+            [sys.executable, "-m", "curveshap.cli", *argv, "--data", data,
+             "--label-column", "class", "--out", str(outs[mode])],
+            env={**os.environ, "PYTHONPATH": SRC, **env},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in outs["utf8"].iterdir())
+    assert sorted(p.name for p in outs["c"].iterdir()) == names
+    for name in names:
+        if name != "manifest.json":     # differs in `out` only
+            assert (outs["c"] / name).read_bytes() == (outs["utf8"] / name).read_bytes(), name

@@ -17,6 +17,7 @@ from curveshap.game import (
     evaluate_all,
     evaluate_slices,
 )
+from curveshap import shapley
 from curveshap.shapley import (
     Attribution,
     auc_roc_consistency,
@@ -322,6 +323,30 @@ def test_exact_slice_game_memory_is_about_one_payoff_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * (1 + 101) * 4096 * 8
+
+
+def test_shapley_map_solves_each_row_alone_in_chunks(monkeypatch):
+    """Chunked solves of an array or a list of rows give every row the bits
+    of a one-row solve."""
+    payoffs = np.random.default_rng(3).normal(size=(10, 1 << 5))
+    alone = np.column_stack([shapley._shapley_map(row[np.newaxis]) for row in payoffs])
+    monkeypatch.setattr(shapley, "SOLVE_FLOATS", 3 << 5)      # chunks of 3, 3, 3, 1
+    assert np.array_equal(shapley._shapley_map(payoffs), alone)
+    assert np.array_equal(shapley._shapley_map(list(payoffs)), alone)
+
+
+def test_shapley_map_memory_is_bounded_by_the_chunk():
+    """Solving a (102, 2^12) payoff matrix, as one Monte-Carlo iteration of
+    `uncertainty --slices` does at n=12, peaks at a few chunks of
+    SOLVE_FLOATS payoffs, well below the matrix's own 3.3 MB."""
+    matrix = np.random.default_rng(0).normal(size=(102, 1 << 12))
+    tracemalloc.start()
+    try:
+        shapley._shapley_map(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * shapley.SOLVE_FLOATS * 8 < matrix.nbytes
 
 
 def test_curve_attributions_leave_the_callers_grid_writable(banknote):

@@ -433,8 +433,14 @@ def _manifest_argv(params: dict) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value is True:
             argv.append(flag)
+        elif isinstance(value, list):
+            # Only the one repeatable flag may hold a list; argparse would keep
+            # the last of any other flag's values.
+            if key != "drop":
+                raise DataError(f"{flag} takes one value, not a list")
+            argv += [f"{flag}={v}" for v in value]
         else:
-            argv += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+            argv.append(f"{flag}={value}")
     return argv
 
 

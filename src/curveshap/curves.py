@@ -78,12 +78,15 @@ def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 
 
 def check_grid(grid) -> np.ndarray:
-    """`grid` as a non-empty 1-D float64 array of abscissae in [0, 1]."""
+    """`grid` as a non-empty 1-D float64 array of ascending abscissae in
+    [0, 1]; areas over it assume ascending order."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise DataError("grid must be a non-empty 1-D array")
     if not ((grid >= 0.0) & (grid <= 1.0)).all():
         raise DataError("grid abscissae must lie in [0, 1]")
+    if (np.diff(grid) < 0.0).any():
+        raise DataError("grid abscissae must be ascending")
     return grid
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -195,13 +195,12 @@ class PayoffEngine:
     """Fits one model for the split and reads every payoff of a coalition
     from its one curve.
 
-    Coalitions are scored from the fit by their own columns, in batches of one
-    size, each scored in one call and swept in one pass.  A coalition's payoff
-    row is its area payoff (AUC − 0.5 or AUPRC − 0.5, of the target's curve
-    family), then its payoffs at the slice `abscissae` the engine is bound to:
-    none for an area target, the target's own, or a grid; it is zero if the
-    scores admit no curve.  Exact games write the rows into one matrix;
-    `payoff` and `fill` memoize only the target's own payoff, by bitmask.
+    A coalition's payoff column is its area payoff (AUC − 0.5 or AUPRC − 0.5,
+    of the target's curve family), then its payoffs at the slice `abscissae`
+    the engine is bound to: none for an area target, the target's own, or a
+    grid; it is zero if the scores admit no curve.  `payoffs` scores the given
+    coalitions in batches of one size, each scored in one call and swept in
+    one pass; nothing is kept between calls.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -212,8 +211,6 @@ class PayoffEngine:
             raise DataError(f"{target.kind} game needs an abscissa")
         given = [] if target.abscissa is None else [target.abscissa]
         self.abscissae = np.array(given) if grid is None else check_grid(grid)
-        # The target's own payoff: the row's last entry, or every grid slice.
-        self._own = -1 if grid is None else np.s_[1:]
         roc = target.kind in _ROC_KINDS
         # Random-classifier value of the metric at each slice abscissa.
         self.baselines = self.abscissae if roc else np.full(self.abscissae.size, 0.5)
@@ -222,37 +219,27 @@ class PayoffEngine:
         self._estimate = estimate_tpr if roc else estimate_precision
         self.spec = spec
         self.scorer = spec.fit(spec.train)
-        self._payoffs: dict[int, float | np.ndarray] = {}
-        self._memoize([0], np.zeros((1, 1 + self.abscissae.size)))
         self.trainings = 0      # coalitions scored
 
-    def payoff(self, mask: int) -> float | np.ndarray:
-        """υ(coalition) at the engine's abscissae, memoized by mask."""
-        if mask not in self._payoffs:
-            self.fill((mask,))
-        return self._payoffs[mask]
+    def payoffs(self, masks: Sequence[int]) -> np.ndarray:
+        """The (1 + abscissae, len(masks)) payoff columns of `masks`, Python
+        ints, in order; mask 0, the empty coalition, gets a zero column unscored.
 
-    def fill(self, masks: Iterable[int]) -> None:
-        """Memoize the payoff of every coalition in `masks` not memoized yet."""
-        for batch, rows in self._batches({int(m) for m in masks} - self._payoffs.keys()):
-            self._memoize(batch, rows)
-
-    def _memoize(self, masks: list[int], rows: np.ndarray) -> None:
-        own = rows[:, self._own]
-        own.setflags(write=False)
-        self._payoffs.update(zip(masks, own.tolist() if own.ndim == 1 else own))
-
-    def _batches(self, masks: Iterable[int]):
-        """(masks, payoff rows) of the given coalitions, grouped by size in
-        batches of at most BATCH_FLOATS scores, at least one coalition each."""
+        The other masks are grouped by size in batches of at most
+        BATCH_FLOATS scores, at least one coalition each; a repeated mask is
+        scored again.
+        """
         by_size: dict[int, list[int]] = {}
-        for mask in sorted(masks):
-            by_size.setdefault(mask.bit_count(), []).append(mask)
-        for k, group in by_size.items():
+        for column, mask in enumerate(masks):
+            if mask:
+                by_size.setdefault(mask.bit_count(), []).append(column)
+        out = np.zeros((1 + self.abscissae.size, len(masks)))
+        for k, columns in by_size.items():
             step = max(1, BATCH_FLOATS // (self.spec.test.n_rows * k))
-            for start in range(0, len(group), step):
-                batch = group[start:start + step]
-                yield batch, self._rows(batch)
+            for start in range(0, len(columns), step):
+                batch = columns[start:start + step]
+                out[:, batch] = self._rows([masks[c] for c in batch]).T
+        return out
 
     def _rows(self, masks: list[int]) -> np.ndarray:
         """The (M, 1 + abscissae) payoff rows of M coalitions of one size; a zero
@@ -302,9 +289,7 @@ def _payoff_matrix(spec: GameSpec, grid: np.ndarray | None) -> tuple[PayoffEngin
     if n > EXACT_MODE_CAP:
         raise TooManyFeaturesForExactMode(n, EXACT_MODE_CAP)
     engine = PayoffEngine(spec, grid)
-    matrix = np.zeros((1 + engine.abscissae.size, 1 << n))
-    for batch, rows in engine._batches(range(1, 1 << n)):
-        matrix[:, batch] = rows.T
+    matrix = engine.payoffs(range(1 << n))
     if not np.isfinite(matrix).all():
         raise DataError("payoff table holds a non-finite payoff")
     matrix.setflags(write=False)

@@ -2,10 +2,9 @@
 
 `shapley_exact` enumerates a complete payoff table with the classic
 combinatorial weights; `shapley_sampled` estimates the same values from
-uniformly random feature permutations with memoized payoffs.  A sampled
-estimate fills the payoff engine with the distinct prefix coalitions of its
-permutations in one batched call, so the marginals are then read from the
-memo.
+uniformly random feature permutations.  A sampled estimate draws all its
+permutations first, scores their distinct prefix coalitions in one
+`PayoffEngine.payoffs` call, and reads each marginal from that call's columns.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .curves import trapezoid
+from .curves import check_grid, trapezoid
 from .errors import DataError, GridTooCoarse
 from .game import GameSpec, PayoffEngine, PayoffTable, Target
 
@@ -152,40 +151,38 @@ def check_samples(samples: int) -> None:
         raise DataError(f"samples must be ≥ 1, got {samples}")
 
 
-def _sampled_engine(
-    spec: GameSpec, samples: int, grid: np.ndarray | None = None
-) -> PayoffEngine:
-    """The payoff engine of a sampled estimate, after the checks both share."""
-    check_samples(samples)
+def _mean_marginals(
+    spec: GameSpec, grid: np.ndarray | None, draws: list[list], rows
+) -> tuple[PayoffEngine, np.ndarray, np.ndarray]:
+    """The payoff engine of a sampled estimate; each feature's marginal payoff
+    averaged over the permutations of each draw, shape (n, len(draws)), read
+    from payoff row `rows[j]` for draw j; and the grand coalition's payoffs.
+
+    One `payoffs` call scores the distinct prefix coalitions of all the
+    permutations, the last of which is always the grand coalition.  Masks
+    stay Python ints, so any number of features fits, and each feature's
+    marginals are added permutation by permutation.
+    """
     if spec.n == 0:
         raise DataError("cannot attribute a game with no features")
-    return PayoffEngine(spec, grid)
-
-
-def _mean_marginals(engine: PayoffEngine, perms, k: int | None = None) -> np.ndarray:
-    """Each feature's marginal payoff averaged over `perms`, read from the
-    engine's payoff rows (at grid point k, for an engine bound to a grid).
-
-    The prefix coalitions of all the permutations are filled in one batched
-    pass first, so the marginals are then read from the memo.  Masks stay
-    Python ints, so any number of features fits.
-    """
-    perms = [list(map(int, perm)) for perm in perms]
-    engine.fill(
-        mask for perm in perms for mask in itertools.accumulate(1 << i for i in perm)
-    )
-    gains = np.zeros(engine.spec.n)
-    for perm in perms:
-        mask = 0
-        previous = 0.0
-        for i in perm:
-            mask |= 1 << i
-            value = engine.payoff(mask)
-            if k is not None:
-                value = value[k]
-            gains[i] += value - previous
-            previous = value
-    return gains / len(perms)
+    engine = PayoffEngine(spec, grid)
+    column = {mask: c for c, mask in enumerate(sorted({
+        mask for perm in itertools.chain.from_iterable(draws)
+        for mask in itertools.accumulate(1 << i for i in perm)
+    }))}
+    payoffs = engine.payoffs(list(column))
+    values = np.zeros((spec.n, len(draws)))
+    for j, (perms, row) in enumerate(zip(draws, rows)):
+        readout = payoffs[row].tolist()
+        for perm in perms:
+            mask, previous = 0, 0.0
+            for i in perm:
+                mask |= 1 << i
+                value = readout[column[mask]]
+                values[i, j] += value - previous
+                previous = value
+        values[:, j] /= len(perms)
+    return engine, values, payoffs[:, column[(1 << spec.n) - 1]]
 
 
 def shapley_sampled(
@@ -203,7 +200,7 @@ def shapley_sampled(
     permutations are distinct; sampling all n! of them reproduces the exact
     values.
     """
-    engine = _sampled_engine(spec, samples)
+    check_samples(samples)
     n = spec.n
     rng = np.random.default_rng(seed)
     if without_replacement:
@@ -219,12 +216,14 @@ def shapley_sampled(
         order = rng.permutation(len(universe))[:samples]
         perms = [universe[k] for k in order]
     else:
-        perms = [rng.permutation(n) for _ in range(samples)]
+        perms = [rng.permutation(n).tolist() for _ in range(samples)]
 
-    values = _mean_marginals(engine, perms)
+    # The target's own payoff is the last row.
+    _, values, full = _mean_marginals(spec, None, [perms], [-1])
     baseline = spec.target.baseline()
-    total = baseline + engine.payoff((1 << n) - 1)
-    return Attribution(spec.train.feature_names, values, baseline, total, spec.target)
+    return Attribution(
+        spec.train.feature_names, values[:, 0], baseline, baseline + full[-1], spec.target
+    )
 
 
 def shapley_sampled_curve(
@@ -232,19 +231,18 @@ def shapley_sampled_curve(
 ) -> CurveAttribution:
     """Permutation-sampling analogue of evaluate_slices + shapley_curve.
 
-    One payoff engine, bound to the grid, serves every grid point, so each
-    coalition is scored once; point k draws its permutations from seed + k,
-    and the coalitions new to the memo are filled in one batched pass.
+    Point k draws its permutations from seed + k.  One payoff engine, bound
+    to the grid, scores the coalitions that any point's permutations visit,
+    each once, before any marginal is read.
     """
-    engine = _sampled_engine(spec, samples, grid)
-    n = spec.n
-    grid = engine.abscissae
-    values = np.empty((n, grid.size))
+    check_samples(samples)
+    grid = check_grid(grid)
+    draws = []
     for k in range(grid.size):
         rng = np.random.default_rng(seed + k)
-        perms = [rng.permutation(n) for _ in range(samples)]
-        values[:, k] = _mean_marginals(engine, perms, k)
-    reference = engine.baselines + engine.payoff((1 << n) - 1)
+        draws.append([rng.permutation(spec.n).tolist() for _ in range(samples)])
+    engine, values, full = _mean_marginals(spec, grid, draws, range(1, 1 + grid.size))
+    reference = engine.baselines + full[1:]
     return CurveAttribution(
         spec.train.feature_names, grid, values, reference, engine.baselines,
         spec.target.kind,

@@ -3,8 +3,10 @@
 Each iteration re-splits the dataset with seed base_seed + k, fits the model
 once, and re-derives every quantity of interest from that split and fit: the
 targets of one curve family (ROC or PR) from one exact game, whose payoff
-matrix holds each coalition's area and slice payoffs.  Aggregates are means and
-population standard deviations over a common abscissa grid (Interpolation).
+matrix holds each coalition's area and slice payoffs.  `mc_bands` is the one
+loop over iterations; `mc_curves` and `mc_attributions` read their part of it.
+Aggregates are means and population standard deviations over a common abscissa
+grid.
 """
 
 from __future__ import annotations
@@ -111,70 +113,6 @@ class McCurveAttribution:
         return BandedSeries(self.abscissae, self.mean[i], self.std[i], self.iterations)
 
 
-def _monte_carlo(d: Dataset, cfg: McConfig, job) -> list[np.ndarray]:
-    """Each array of the list `job(train, test, model)` returns, stacked over
-    the iterations; every iteration splits the dataset and fits the model once."""
-    stacks = None
-    for k in range(cfg.iterations):
-        train, test = split(d, cfg.split_spec(k))
-        rows = job(train, test, train_gnb(train))
-        stacks = stacks or [np.empty((cfg.iterations, *row.shape)) for row in rows]
-        for stack, row in zip(stacks, rows):
-            stack[k] = row
-    return stacks
-
-
-def _attribution_job(cfg: McConfig, targets: Sequence[Target], strategy: Strategy):
-    """An iteration's Shapley values of each target: per feature and grid
-    point for a slice target (whose own abscissa is ignored), per feature and
-    then the achieved total for an area.  Targets of one curve family (ROC or
-    PR) share one exact game, on the grid if a slice target asks for it: one
-    Shapley map over its payoff matrix gives the area values (row 0) and the
-    slice values (the other rows)."""
-    games = {}      # curve family → game; slice targets come last and win
-    for target in sorted(targets, key=lambda t: t.is_slice):
-        games[target.kind in _ROC_KINDS] = Target(target.kind)
-
-    def job(train: Dataset, test: Dataset, model) -> list[np.ndarray]:
-        solved = {}
-        for family, target in games.items():
-            spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
-            engine, matrix = game._payoff_matrix(spec, cfg.grid if target.is_slice else None)
-            solved[family] = engine, matrix, _shapley_map(matrix)
-        rows = []
-        for target in targets:
-            engine, matrix, values = solved[target.kind in _ROC_KINDS]
-            if target.is_slice:
-                rows.append(CurveAttribution(
-                    train.feature_names, cfg.grid, values[:, 1:],
-                    engine.baselines + matrix[1:, -1], engine.baselines, target.kind,
-                ).values)
-            else:
-                attr = Attribution(
-                    train.feature_names, values[:, 0], target.baseline(),
-                    target.baseline() + matrix[0, -1], target,
-                )
-                rows.append(np.append(attr.values, attr.total))
-        return rows
-
-    return job
-
-
-def _attribution_bands(
-    d: Dataset, cfg: McConfig, target: Target, stack: np.ndarray
-) -> McAttribution | McCurveAttribution:
-    if target.is_slice:
-        return McCurveAttribution(
-            d.feature_names, cfg.grid, stack.mean(axis=0), stack.std(axis=0),
-            cfg.iterations, target.kind,
-        )
-    values, totals = stack[:, :-1], stack[:, -1]
-    return McAttribution(
-        d.feature_names, values.mean(axis=0), values.std(axis=0),
-        cfg.iterations, target, float(totals.mean()),
-    )
-
-
 def mc_curves(d: Dataset, cfg: McConfig, kind: str = "roc") -> BandedSeries:
     """Grand-coalition ROC (or PR) curve band across Monte-Carlo splits."""
     return mc_bands(d, cfg, kind, [])[0]
@@ -192,27 +130,69 @@ def mc_attributions(
     and grid point (the target's own abscissa is ignored in favor of the
     config grid, and the strategy defaults to interpolation).
     """
-    job = _attribution_job(cfg, [target], strategy or Strategy.INTERPOLATION)
-    (stack,) = _monte_carlo(d, cfg, job)
-    return _attribution_bands(d, cfg, target, stack)
+    kind = "roc" if target.kind in _ROC_KINDS else "pr"
+    return mc_bands(d, cfg, kind, [target], strategy or Strategy.INTERPOLATION)[1][0]
 
 
 def mc_bands(
-    d: Dataset, cfg: McConfig, kind: str, targets: Sequence[Target]
+    d: Dataset,
+    cfg: McConfig,
+    kind: str,
+    targets: Sequence[Target],
+    strategy: Strategy = Strategy.INTERPOLATION,
 ) -> tuple[BandedSeries, list[McAttribution | McCurveAttribution]]:
     """The grand-coalition ROC (or PR) curve band and, for each target, its
-    attribution bands as `mc_attributions` gives them with the default
-    strategy, all from one split and one model fit per iteration."""
+    attribution bands as `mc_attributions` gives them, all from one split and
+    one model fit per iteration.
+
+    Targets of one curve family (ROC or PR) share one exact game, on the grid
+    if a slice target asks for it: one Shapley map over its payoff matrix
+    gives the area values (row 0) and the slice values (the other rows).  A
+    slice target's own abscissa is ignored; its games use `strategy`, while
+    the curve band always interpolates.
+    """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
     sweep, estimate = ((roc_from_scores, estimate_tpr) if kind == "roc"
                        else (pr_from_scores, estimate_precision))
-    attributions = _attribution_job(cfg, targets, Strategy.INTERPOLATION)
-
-    def job(train: Dataset, test: Dataset, model) -> list[np.ndarray]:
-        row = estimate(sweep(model.score(test), test.labels), cfg.grid, Strategy.INTERPOLATION)
-        return [row, *attributions(train, test, model)]
-
-    rows, *stacks = _monte_carlo(d, cfg, job)
-    band = BandedSeries(cfg.grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
-    return band, [_attribution_bands(d, cfg, t, s) for t, s in zip(targets, stacks)]
+    games = {}      # curve family → game; slice targets come last and win
+    for target in sorted(targets, key=lambda t: t.is_slice):
+        games[target.kind in _ROC_KINDS] = Target(target.kind)
+    n, grid = d.n_features, cfg.grid
+    rows = np.empty((cfg.iterations, grid.size))
+    # Per iteration: φ per feature and grid point for a slice target, φ per
+    # feature and then the achieved total for an area target.
+    stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
+                       else (cfg.iterations, n + 1)) for t in targets]
+    for k in range(cfg.iterations):
+        train, test = split(d, cfg.split_spec(k))
+        model = train_gnb(train)
+        rows[k] = estimate(sweep(model.score(test), test.labels), grid, Strategy.INTERPOLATION)
+        solved = {}
+        for family, target in games.items():
+            spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
+            engine, matrix = game._payoff_matrix(spec, grid if target.is_slice else None)
+            solved[family] = engine, matrix, _shapley_map(matrix)
+        for target, stack in zip(targets, stacks):
+            engine, matrix, values = solved[target.kind in _ROC_KINDS]
+            if target.is_slice:
+                stack[k] = CurveAttribution(
+                    train.feature_names, grid, values[:, 1:],
+                    engine.baselines + matrix[1:, -1], engine.baselines, target.kind,
+                ).values
+            else:
+                attr = Attribution(
+                    train.feature_names, values[:, 0], target.baseline(),
+                    target.baseline() + matrix[0, -1], target,
+                )
+                stack[k] = np.append(attr.values, attr.total)
+    band = BandedSeries(grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
+    bands = [
+        McCurveAttribution(d.feature_names, grid, stack.mean(axis=0), stack.std(axis=0),
+                           cfg.iterations, target.kind)
+        if target.is_slice else
+        McAttribution(d.feature_names, stack[:, :-1].mean(axis=0), stack[:, :-1].std(axis=0),
+                      cfg.iterations, target, float(stack[:, -1].mean()))
+        for target, stack in zip(targets, stacks)
+    ]
+    return band, bands

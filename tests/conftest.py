@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +8,19 @@ import curveshap as cs
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    """Any warning that a test of this suite lets escape fails it: a stray
+    DegenerateCurveWarning or numpy RuntimeWarning is a defect.  Set here, not
+    in pyproject.toml, so that the benchmark's self-tests keep their own
+    warning filters."""
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
 
 # Default seed used throughout the banknote-based tests; seeds 0-4 all keep
 # the reproduction targets inside their tolerance windows.

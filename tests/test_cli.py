@@ -441,6 +441,16 @@ class TestReplay:
         assert "--sampled" in json.loads(err[0])["message"]
         assert not (tmp_path / "replayed").exists()
 
+    def test_manifest_list_for_a_scalar_flag_is_rejected(self, tmp_path, capsys):
+        """Only --drop repeats; a list for any other flag is not a last-one-wins."""
+        path = self.edited_manifest(tmp_path, lambda m: m.update(seed=[1, 2]))
+        capsys.readouterr()
+        assert run(["replay", str(path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "--seed" in json.loads(err[0])["message"]
+        assert not (tmp_path / "replayed").exists()
+
     def test_manifest_is_sorted_json(self, tmp_path):
         out = tmp_path / "run"
         run([

@@ -101,10 +101,11 @@ class TestGameSpec:
 class TestPayoff:
     def test_empty_coalition_is_analytic_zero(self, auc_spec, roc_spec):
         for spec in (auc_spec, roc_spec):
-            assert PayoffEngine(spec).payoff(0) == 0.0
+            column = PayoffEngine(spec).payoffs([0])
+            assert column.shape[1] == 1 and not column.any()
 
     def test_grand_coalition_auc(self, auc_spec):
-        v = PayoffEngine(auc_spec).payoff(0b1111)
+        v = PayoffEngine(auc_spec).payoffs([0b1111])[-1, 0]
         # reported grand-coalition AUC is 94.03%; splits differ by a couple
         # of points, so the payoff sits near 0.44
         assert 0.40 <= v <= 0.48
@@ -112,7 +113,7 @@ class TestPayoff:
     def test_roc_slice_grand_coalition_consistency(self, roc_spec):
         engine = PayoffEngine(roc_spec)
         full = (1 << roc_spec.n) - 1
-        v = engine.payoff(full)
+        v = engine.payoffs([full])[-1, 0]
         train, test = roc_spec.train, roc_spec.test
         curve = roc_from_scores(train_gnb(train).score(test), test.labels)
         tpr = estimate_tpr(curve, 0.2, Strategy.INTERPOLATION)
@@ -120,18 +121,13 @@ class TestPayoff:
 
     def test_arity_mismatch(self, auc_spec):
         with pytest.raises(errors.DataError):
-            PayoffEngine(auc_spec).payoff(1 << 4)
+            PayoffEngine(auc_spec).payoffs([1 << 4])
 
     def test_determinism(self, auc_spec):
         mask = 0b1001
-        assert PayoffEngine(auc_spec).payoff(mask) == PayoffEngine(auc_spec).payoff(mask)
-
-    def test_memoized_payoff_is_not_retrained(self, auc_spec):
-        engine = PayoffEngine(auc_spec)
-        first = engine.payoff(0b0011)
-        trainings = engine.trainings
-        assert engine.payoff(0b0011) == first
-        assert engine.trainings == trainings == 1
+        np.testing.assert_array_equal(
+            PayoffEngine(auc_spec).payoffs([mask]), PayoffEngine(auc_spec).payoffs([mask])
+        )
 
 
 class TestEvaluateAll:
@@ -268,7 +264,7 @@ class TestDegenerateCoalitions:
         spec = GameSpec(Target.auc(), train, test, fit=fit_nan)
         engine = PayoffEngine(spec)
         with pytest.warns(DegenerateCurveWarning):
-            v = engine.payoff(0b0001)
+            v = engine.payoffs([0b0001])[-1, 0]
         assert v == 0.0
 
     def test_constant_scores_are_not_degenerate(self, banknote_split):
@@ -282,7 +278,7 @@ class TestDegenerateCoalitions:
         engine = PayoffEngine(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DegenerateCurveWarning)
-            assert engine.payoff(0b0001) == 0.0  # AUC 0.5 − 0.5, a real curve
+            assert engine.payoffs([0b0001])[-1, 0] == 0.0  # AUC 0.5 − 0.5, a real curve
         assert roc_from_scores(np.full(test.n_rows, 0.5), test.labels).auc == 0.5
 
     def test_degenerate_grid_rows_are_zero(self, banknote_split):
@@ -292,7 +288,7 @@ class TestDegenerateCoalitions:
         )
         grid = np.linspace(0.0, 1.0, 5)
         with pytest.warns(DegenerateCurveWarning):
-            row = PayoffEngine(spec, grid).payoff(0b0101)
+            row = PayoffEngine(spec, grid).payoffs([0b0101])[1:, 0]
         np.testing.assert_array_equal(row, np.zeros(5))
         with pytest.warns(DegenerateCurveWarning):
             tables = evaluate_slices(spec, grid)
@@ -343,14 +339,23 @@ class CountingFit:
     lambda spec, grid: shapley_sampled(spec, samples=20, seed=0),
     lambda spec, grid: shapley_sampled_curve(spec, grid, samples=20, seed=0),
 ], ids=["evaluate_all", "evaluate_slices", "shapley_sampled", "shapley_sampled_curve"])
-def test_one_fit_per_game(run, banknote_split):
+def test_one_fit_per_game(run, banknote_split, monkeypatch):
+    """Every game fits its model once and reads its payoffs in one call."""
     train, test = banknote_split
     fit = CountingFit()
+    payoffs, calls = PayoffEngine.payoffs, []
+
+    def counted(engine, masks):
+        calls.append(len(masks))
+        return payoffs(engine, masks)
+
+    monkeypatch.setattr(PayoffEngine, "payoffs", counted)
     spec = GameSpec(
         Target.roc_slice(0.2), train, test, strategy=Strategy.INTERPOLATION, fit=fit
     )
     run(spec, np.linspace(0.0, 1.0, 5))
     assert fit.calls == 1
+    assert len(calls) == 1
 
 
 COLUMN_KINDS = ("normal", "ties", "constant", "duplicate")
@@ -402,7 +407,7 @@ def test_coalition_scores_equal_a_refit(seed, columns):
         np.testing.assert_array_equal(scores, refit)
         if mask:
             expected = auc_rank_statistic(refit, test.labels) - 0.5
-            assert abs(engine.payoff(mask) - expected) <= 1e-12
+            assert abs(engine.payoffs([mask])[-1, 0] - expected) <= 1e-12
 
 
 def single_coalition_payoffs(spec, grid=None):
@@ -441,9 +446,10 @@ def single_coalition_payoffs(spec, grid=None):
     ("duplicate", 0),
 ], kind=ROC_SLICE, strategy=Strategy.INTERPOLATION)
 def test_batches_equal_single_coalitions(seed, columns, kind, strategy):
-    """Payoffs filled in batches equal those of each coalition scored and
-    swept alone, bit for bit, whatever the batch size; a slice game's area
-    readout equals the area game's payoffs."""
+    """Payoffs scored in batches equal those of each coalition scored and
+    swept alone, bit for bit, whatever the batch size and whatever the order
+    of the masks asked for (mask 0 and a repeated mask included); a slice
+    game's area readout equals the area game's payoffs."""
     train, test = coalition_split(seed, columns)
     if kind in (AUC, AUPRC):
         spec, grid = GameSpec(Target(kind), train, test), None
@@ -453,11 +459,15 @@ def test_batches_equal_single_coalitions(seed, columns, kind, strategy):
         grid = np.linspace(0.0, 1.0, 11)
         run = lambda: np.stack([t.values for t in evaluate_slices(spec, grid)])
     expected = single_coalition_payoffs(spec, grid)
-    np.testing.assert_array_equal(run(), expected)
-    for batch_floats in (1, 1 << 30):     # one coalition per batch; one batch per size
+    masks = [*np.random.default_rng(seed).permutation(1 << spec.n).tolist(), (1 << spec.n) - 1]
+    readout = -1 if grid is None else np.s_[1:]
+    # The default batches; one coalition per batch; one batch per size.
+    for batch_floats in (game.BATCH_FLOATS, 1, 1 << 30):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(game, "BATCH_FLOATS", batch_floats)
             np.testing.assert_array_equal(run(), expected)
+            shuffled = PayoffEngine(spec, grid).payoffs(masks)[readout]
+            np.testing.assert_array_equal(shuffled, expected[..., masks])
     if grid is not None:
         # A slice game's matrix leads with the area payoffs of its curve family.
         area = GameSpec(Target(AUC if kind == ROC_SLICE else AUPRC), train, test)
@@ -482,17 +492,15 @@ def prefix_masks(perms):
             for mask in itertools.accumulate(1 << int(i) for i in perm)}
 
 
-def one_mask_at_a_time(engine, perms, k=None):
-    """The sampled estimate's mean marginals, reading `engine.payoff` one
-    mask at a time, each missing coalition scored on its own."""
+def one_mask_at_a_time(engine, perms, row=-1):
+    """The sampled estimate's mean marginals from payoff row `row`, one
+    `engine.payoffs` call per mask, each coalition scored on its own."""
     gains = np.zeros(engine.spec.n)
     for perm in perms:
         mask, previous = 0, 0.0
         for i in perm:
             mask |= 1 << int(i)
-            value = engine.payoff(mask)
-            if k is not None:
-                value = value[k]
+            value = engine.payoffs([mask])[row, 0]
             gains[int(i)] += value - previous
             previous = value
     return gains / len(perms)
@@ -513,8 +521,8 @@ def test_sampled_prefill_equals_one_mask_at_a_time(seed):
     perms = [rng.permutation(spec.n) for _ in range(25)]
     reference = PayoffEngine(GameSpec(Target.auc(), train, test))
     np.testing.assert_array_equal(attr.values, one_mask_at_a_time(reference, perms))
-    assert attr.total == 0.5 + reference.payoff((1 << spec.n) - 1)
-    assert scorers[0].coalitions == len(prefix_masks(perms)) == reference.trainings
+    assert attr.total == 0.5 + reference.payoffs([(1 << spec.n) - 1])[-1, 0]
+    assert scorers[0].coalitions == len(prefix_masks(perms))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -534,10 +542,34 @@ def test_sampled_curve_prefill_equals_one_mask_at_a_time(seed):
     for k in range(grid.size):
         rng = np.random.default_rng(seed + k)
         perms = [rng.permutation(spec.n) for _ in range(10)]
-        np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, k))
+        np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, 1 + k))
         visited |= prefix_masks(perms)
-    np.testing.assert_array_equal(ca.reference, grid + reference.payoff((1 << spec.n) - 1))
-    assert scorers[0].coalitions == len(visited) == reference.trainings
+    full = reference.payoffs([(1 << spec.n) - 1])[1:, 0]
+    np.testing.assert_array_equal(ca.reference, grid + full)
+    assert scorers[0].coalitions == len(visited)
+
+
+def test_sampled_curve_scores_each_coalition_size_in_one_call(monkeypatch):
+    """With batches unbounded, the coalitions of every grid point are scored
+    together: one `score` call per coalition size, not per grid point."""
+    monkeypatch.setattr(game, "BATCH_FLOATS", 1 << 30)
+    train, test = coalition_split(2, [("normal", 0)] * 8)
+    scorers = []
+
+    class CountingCalls(CountingScorer):
+        calls = 0
+
+        def score(self, test, columns):
+            self.calls += 1
+            return super().score(test, columns)
+
+    def fit(d):
+        scorers.append(CountingCalls(d))
+        return scorers[-1]
+
+    spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION, fit=fit)
+    shapley_sampled_curve(spec, default_grid(), samples=20, seed=0)
+    assert scorers[0].calls <= spec.n
 
 
 def test_sampled_modes_take_more_than_63_features():
@@ -545,15 +577,17 @@ def test_sampled_modes_take_more_than_63_features():
     and the grand coalition's payoff must still work on them."""
     train, test = coalition_split(5, [("normal", 0)] * 70)
     full = (1 << 70) - 1
-    area = GameSpec(Target.auc(), train, test)
-    attr = shapley_sampled(area, samples=4, seed=1)
+    scorer = CountingScorer(train)
+    attr = shapley_sampled(
+        GameSpec(Target.auc(), train, test, fit=lambda _: scorer), samples=4, seed=1
+    )
     rng = np.random.default_rng(1)
     perms = [rng.permutation(70) for _ in range(4)]
-    reference = PayoffEngine(area)
+    assert scorer.coalitions == len(prefix_masks(perms))
+    reference = PayoffEngine(GameSpec(Target.auc(), train, test))
     np.testing.assert_array_equal(attr.values, one_mask_at_a_time(reference, perms))
     scores = train_gnb(train).score(test)
-    assert reference.payoff(full) == roc_from_scores(scores, test.labels).auc - 0.5
-    assert reference.trainings == len(prefix_masks(perms))
+    assert reference.payoffs([full])[-1, 0] == roc_from_scores(scores, test.labels).auc - 0.5
 
     target, grid = Target(ROC_SLICE), np.linspace(0.0, 1.0, 3)
     slices = GameSpec(target, train, test, Strategy.INTERPOLATION)
@@ -562,8 +596,8 @@ def test_sampled_modes_take_more_than_63_features():
     for k in range(grid.size):
         rng = np.random.default_rng(2 + k)
         perms = [rng.permutation(70) for _ in range(3)]
-        np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, k))
-    np.testing.assert_array_equal(ca.reference, grid + reference.payoff(full))
+        np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, 1 + k))
+    np.testing.assert_array_equal(ca.reference, grid + reference.payoffs([full])[1:, 0])
 
 
 def degenerate_masks(run):

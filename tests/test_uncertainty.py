@@ -50,6 +50,8 @@ class TestMcConfig:
             McConfig(iterations=2, grid=np.array([0.5]))
         with pytest.raises(errors.DataError):
             McConfig(iterations=2, grid=np.array([0.5, 1.5]))
+        with pytest.raises(errors.DataError, match="ascending"):
+            McConfig(iterations=2, grid=np.array([0.5, 0.2]))
 
     def test_compares_and_hashes_by_identity(self):
         """The grid is an array, so configs compare by identity, not by value."""
@@ -245,11 +247,26 @@ class TestMcBands:
                 np.testing.assert_array_equal(together.std, stack[:, :-1].std(axis=0))
                 assert together.mean_total == float(stack[:, -1].mean())
 
+    @pytest.mark.parametrize("strategy", [Strategy.PESSIMISTIC, Strategy.OPTIMISTIC])
+    @pytest.mark.parametrize("target", [cs.Target.roc_slice(0.3), cs.Target.prc_slice(0.6)],
+                             ids=["roc", "prc"])
+    def test_slice_attributions_follow_the_strategy(self, banknote, target, strategy):
+        """mc_attributions under a non-default strategy equals evaluate_slices +
+        shapley_curve under that strategy on each iteration's split and fit."""
+        cfg = McConfig(iterations=3, base_seed=5, grid=np.linspace(0.0, 1.0, 11))
+        mc = mc_attributions(banknote, cfg, target, strategy)
+        _, (stack,) = reference_bands(banknote, cfg, "roc", [target], strategy)
+        np.testing.assert_array_equal(mc.mean, stack.mean(axis=0))
+        np.testing.assert_array_equal(mc.std, stack.std(axis=0))
+        interpolated = mc_attributions(banknote, cfg, target)
+        assert not np.array_equal(mc.mean, interpolated.mean)
 
-def reference_bands(d, cfg, kind, targets):
+
+def reference_bands(d, cfg, kind, targets, strategy=Strategy.INTERPOLATION):
     """Per-iteration band rows and each target's rows from the public
     pipeline: split, fit, then evaluate_all + shapley_exact for an area and
-    evaluate_slices + shapley_curve on the config grid for a slice."""
+    evaluate_slices + shapley_curve on the config grid, under `strategy`,
+    for a slice.  The band always interpolates."""
     band, stacks = [], [[] for _ in targets]
     for k in range(cfg.iterations):
         train, test = cs.split(d, cfg.split_spec(k))
@@ -262,7 +279,7 @@ def reference_bands(d, cfg, kind, targets):
             band.append(cs.estimate_precision(curve, cfg.grid, Strategy.INTERPOLATION))
         for target, stack in zip(targets, stacks):
             if target.is_slice:
-                spec = cs.GameSpec(cs.Target(target.kind), train, test, Strategy.INTERPOLATION)
+                spec = cs.GameSpec(cs.Target(target.kind), train, test, strategy)
                 stack.append(cs.shapley_curve(cs.evaluate_slices(spec, cfg.grid)).values)
             else:
                 attr = cs.shapley_exact(cs.evaluate_all(cs.GameSpec(target, train, test)))

@@ -36,9 +36,16 @@ from .model import train_gnb
 
 EXACT_MODE_CAP = 20
 
-# Most scores (coalitions × test rows × coalition size) that one scoring batch
-# holds; it bounds the batch's working memory to a few such float64 arrays.
-BATCH_FLOATS = 1 << 14
+# Most float64 values that one scoring batch holds.  Per coalition and test
+# row, a batch holds its k likelihood terms while it is scored and about
+# SWEEP_FLOATS while it is swept, so a batch of k-feature coalitions takes
+# BATCH_FLOATS // (test rows × (k + SWEEP_FLOATS)) of them, at least one, and
+# holds about BATCH_FLOATS × 8 bytes (512 KiB) however wide they are.
+BATCH_FLOATS = 1 << 16
+# Float64 values per score beside the k terms.  tracemalloc measures about 3.7
+# while a batch is scored (its log-likelihoods and scores) and 9.6 while it is
+# swept (its scores, their finite rows, and the sweep's order and counts).
+SWEEP_FLOATS = 8
 
 AUC = "auc"
 ROC_SLICE = "roc_slice"
@@ -225,9 +232,10 @@ class PayoffEngine:
         """The (1 + abscissae, len(masks)) payoff columns of `masks`, Python
         ints, in order; mask 0, the empty coalition, gets a zero column unscored.
 
-        The other masks are grouped by size in batches of at most
-        BATCH_FLOATS scores, at least one coalition each; a repeated mask is
-        scored again.
+        The other masks are grouped by size k in batches of at most
+        BATCH_FLOATS // (test rows × (k + SWEEP_FLOATS)) coalitions, at least
+        one each, which bounds the floats a batch holds while it is scored and
+        swept; a repeated mask is scored again.
         """
         by_size: dict[int, list[int]] = {}
         for column, mask in enumerate(masks):
@@ -235,7 +243,7 @@ class PayoffEngine:
                 by_size.setdefault(mask.bit_count(), []).append(column)
         out = np.zeros((1 + self.abscissae.size, len(masks)))
         for k, columns in by_size.items():
-            step = max(1, BATCH_FLOATS // (self.spec.test.n_rows * k))
+            step = max(1, BATCH_FLOATS // (self.spec.test.n_rows * (k + SWEEP_FLOATS)))
             for start in range(0, len(columns), step):
                 batch = columns[start:start + step]
                 out[:, batch] = self._rows([masks[c] for c in batch]).T

@@ -48,7 +48,10 @@ from .errors import (
 VAR_SMOOTHING = 1e-9
 VAR_FLOOR = 1e-12
 # Widest coalition whose terms are sorted by a comparator network; wider ones
-# sort each lane.  The crossover was measured per k on 16K-score batches.
+# sort each lane.  Timed per k as whole `score` calls on the batches that
+# game.BATCH_FLOATS gives at 275 test rows, the network is faster up to 12
+# features, and from 13 to 16 the two paths are within about 20% of each
+# other, as close as repeated runs of one path.
 NETWORK_WIDTH = 12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -209,14 +212,17 @@ def score(
         if cols.shape[1] <= NETWORK_WIDTH:
             # Feature-major (k, M, rows): a comparator network sorts whole
             # (M, rows) planes, which are then added in numpy's own order.
-            planes = _terms(np.take(sq.T, cols.T, axis=0),
-                            variances[c].T[..., np.newaxis], log_norms[c].T[..., np.newaxis])
-            _network_sum(planes, out=log_joint[c])
+            block = _terms(np.take(sq.T, cols.T, axis=0),
+                           variances[c].T[..., np.newaxis], log_norms[c].T[..., np.newaxis])
+            _network_sum(block, out=log_joint[c])
         else:
             # Lanes of a C-contiguous (rows, M, k) block, as sort and sum need.
-            lanes = _terms(np.take(sq, cols, axis=1), variances[c], log_norms[c])
-            lanes.sort(axis=-1)
-            log_joint[c] = lanes.sum(axis=-1).T
+            block = _terms(np.take(sq, cols, axis=1), variances[c], log_norms[c])
+            block.sort(axis=-1)
+            log_joint[c] = block.sum(axis=-1).T
+        # Freed before the other class gathers its own: a batch holds one
+        # block of k terms per score at a time, as game.BATCH_FLOATS counts.
+        del block
         log_joint[c] += np.log(m.priors[c])
     # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), evaluated stably.
     scores = np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))

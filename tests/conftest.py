@@ -1,4 +1,4 @@
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -9,17 +9,20 @@ import curveshap as cs
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
-TESTS = Path(__file__).parent
-
-
-def pytest_collection_modifyitems(items):
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call():
     """Any warning that a test of this suite lets escape fails it: a stray
     DegenerateCurveWarning or numpy RuntimeWarning is a defect.  Set here, not
     in pyproject.toml, so that the benchmark's self-tests keep their own
-    warning filters."""
-    for item in items:
-        if TESTS in item.path.parents:
-            item.add_marker(pytest.mark.filterwarnings("error"))
+    warning filters; and only around the test's setup, body and teardown, not
+    while its report is built: hypothesis imports modules that warn when it
+    reports a failure, and an error there would abort the whole run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (yield)
+
+
+pytest_runtest_setup = pytest_runtest_teardown = pytest_runtest_call
 
 
 # Default seed used throughout the banknote-based tests; seeds 0-4 all keep

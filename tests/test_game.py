@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -476,14 +477,18 @@ def test_batches_equal_single_coalitions(seed, columns, kind, strategy):
 
 
 class CountingScorer:
-    """GNB behind a counter of the coalitions it scores."""
+    """GNB behind a record of the (coalitions, size) of each batch it scores."""
 
     def __init__(self, d):
         self.model = train_gnb(d)
-        self.coalitions = 0
+        self.batches = []
+
+    @property
+    def coalitions(self):
+        return sum(m for m, _ in self.batches)
 
     def score(self, test, columns):
-        self.coalitions += len(columns)
+        self.batches.append(np.shape(columns))
         return self.model.score(test, columns)
 
 
@@ -556,20 +561,13 @@ def test_sampled_curve_scores_each_coalition_size_in_one_call(monkeypatch):
     train, test = coalition_split(2, [("normal", 0)] * 8)
     scorers = []
 
-    class CountingCalls(CountingScorer):
-        calls = 0
-
-        def score(self, test, columns):
-            self.calls += 1
-            return super().score(test, columns)
-
     def fit(d):
-        scorers.append(CountingCalls(d))
+        scorers.append(CountingScorer(d))
         return scorers[-1]
 
     spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION, fit=fit)
     shapley_sampled_curve(spec, default_grid(), samples=20, seed=0)
-    assert scorers[0].calls <= spec.n
+    assert len(scorers[0].batches) <= spec.n
 
 
 def test_sampled_modes_take_more_than_63_features():
@@ -598,6 +596,53 @@ def test_sampled_modes_take_more_than_63_features():
         perms = [rng.permutation(70) for _ in range(3)]
         np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, 1 + k))
     np.testing.assert_array_equal(ca.reference, grid + reference.payoffs([full])[1:, 0])
+
+
+def banknote_with_noise(banknote, columns):
+    """Banknote plus `columns` seeded N(0, 1) noise columns, split as the CLI
+    splits it by default: 275 test rows."""
+    noise = np.random.default_rng(0).normal(size=(banknote.n_rows, columns))
+    wide = cs.Dataset(np.hstack([banknote.features, noise]), banknote.labels,
+                      banknote.feature_names + tuple(f"noise{i}" for i in range(columns)))
+    return cs.split(wide, cs.SplitSpec(0.8, 0))
+
+
+# Peak traced bytes of one `payoffs` call, in units of the default budget's
+# BATCH_FLOATS float64 (512 KiB).  Measured at n=16 on 275 test rows (numpy
+# 2.4.6): 0.69 for k=1, 1.87 for k=8 and 0.22 for k=16.  At k=8 about half of
+# it is the call's own per-mask lists and output for 12,870 masks, which grow
+# with the masks, not the batch.
+BATCH_PEAK_MULTIPLE = 2.5
+
+
+@pytest.mark.parametrize("k", [1, 8, 16])
+def test_batch_memory_is_bounded_by_the_budget(banknote, k):
+    """Scoring every coalition of one size peaks under a fixed multiple of
+    the default BATCH_FLOATS float64, however wide the coalitions."""
+    train, test = banknote_with_noise(banknote, 12)
+    assert test.n_rows == 275
+    engine = PayoffEngine(GameSpec(Target.auc(), train, test))
+    masks = [sum(1 << i for i in c) for c in itertools.combinations(range(16), k)]
+    engine.payoffs(masks[:1])      # fills the comparator-network cache first
+    tracemalloc.start()
+    try:
+        engine.payoffs(masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BATCH_PEAK_MULTIPLE * (1 << 16) * 8
+
+
+def test_wide_coalitions_share_a_batch(banknote):
+    """On 70 features and 275 test rows, coalitions of 30 or more features
+    are batched by the floats a batch holds, not one per `score` call."""
+    train, test = banknote_with_noise(banknote, 66)
+    scorer = CountingScorer(train)
+    engine = PayoffEngine(GameSpec(Target.auc(), train, test, fit=lambda _: scorer))
+    sizes = range(30, 71)
+    # Two masks of each size: its lowest and its highest k features.
+    engine.payoffs([mask for k in sizes for mask in ((1 << k) - 1, (1 << 70) - (1 << 70 - k))])
+    assert scorer.batches == [(2, k) for k in sizes]
 
 
 def degenerate_masks(run):

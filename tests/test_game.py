@@ -654,7 +654,7 @@ def degenerate_masks(run):
             for w in caught if issubclass(w.category, DegenerateCurveWarning)]
 
 
-@pytest.mark.parametrize("batch_floats", [1, game.BATCH_FLOATS])
+@pytest.mark.parametrize("batch_floats", [1, 1 << 14, game.BATCH_FLOATS])
 def test_one_warning_per_degenerate_coalition(banknote_split, batch_floats, monkeypatch):
     """Coalitions holding `variance` score NaN: 8 of the 15, each warned once."""
     monkeypatch.setattr(game, "BATCH_FLOATS", batch_floats)

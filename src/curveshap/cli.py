@@ -279,7 +279,7 @@ def _run_slice_curves(kind: str, params: dict, out: Path) -> list[str]:
     report.write_svg(out / "contributions.svg", report.contribution_curves(ca).to_svg())
     report.write_svg(out / "relative.svg", report.relative_contributions(ca).to_svg())
 
-    abscissa_key = "fpr" if kind == game.ROC_SLICE else "recall"
+    abscissa_key = report._ABSCISSA[kind][0]
     lines = [
         f"target: {'TPR over FPR grid' if kind == game.ROC_SLICE else 'precision over recall grid'}",
         f"strategy: {strategy.value}",
@@ -308,7 +308,7 @@ def run_uncertainty(params: dict, out: Path) -> list[str]:
     targets = [Target.auc(), Target(game.ROC_SLICE)] if slices else [Target.auc()]
     band, attributions = mc_bands(d, cfg, "roc", targets)
     mca = attributions[0]
-    report.write_csv(out / "roc_band.csv", *report.banded_rows(band, "fpr"))
+    report.write_csv(out / "roc_band.csv", *report.banded_rows(band))
     report.write_svg(
         out / "roc_band.svg",
         report.banded_plot(band, title="Monte-Carlo ROC").to_svg(),

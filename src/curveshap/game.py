@@ -43,8 +43,8 @@ EXACT_MODE_CAP = 20
 # holds about BATCH_FLOATS × 8 bytes (512 KiB) however wide they are.
 BATCH_FLOATS = 1 << 16
 # Float64 values per score beside the k terms.  tracemalloc measures about 3.7
-# while a batch is scored (its log-likelihoods and scores) and 9.6 while it is
-# swept (its scores, their finite rows, and the sweep's order and counts).
+# while a batch is scored (its log-likelihoods and scores) and 8.2 while it is
+# swept (its scores and the sweep's order and counts).
 SWEEP_FLOATS = 8
 
 AUC = "auc"
@@ -271,12 +271,13 @@ class PayoffEngine:
                                 "scores contain non-finite values")
         valid = np.flatnonzero(finite).tolist()
         try:
-            curves = self._sweep(scores[valid], spec.test.labels) if valid else []
+            curves = self._sweep(scores, spec.test.labels)
         except (SingleClassLabels, NoPositiveLabels) as exc:
-            curves = []
             reasons.update(dict.fromkeys(valid, str(exc)))
+            valid = []
         rows = np.zeros((len(masks), 1 + slices.size))
-        for i, curve in zip(valid, curves):
+        for i in valid:
+            curve = curves[i]
             rows[i, 0] = self._area(curve) - 0.5
             if slices.size:
                 rows[i, 1:] = self._estimate(curve, slices, spec.strategy) - self.baselines

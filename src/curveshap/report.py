@@ -33,6 +33,9 @@ NEGATIVE_COLOR = "#e15759"
 ANCHOR_COLOR = "#79706e"
 REFERENCE_COLOR = "#555555"
 
+# Each slice kind's abscissa: its CSV column and its axis label.
+_ABSCISSA = {ROC_SLICE: ("fpr", "false positive rate"), PRC_SLICE: ("recall", "recall")}
+
 
 def color_for(index: int) -> str:
     return PALETTE[index % len(PALETTE)]
@@ -72,8 +75,7 @@ def attribution_rows(attr: Attribution):
 
 
 def curve_attribution_rows(ca: CurveAttribution):
-    x_name = "fpr" if ca.kind == ROC_SLICE else "recall"
-    header = [x_name, *ca.feature_names, "reference", "baseline"]
+    header = [_ABSCISSA[ca.kind][0], *ca.feature_names, "reference", "baseline"]
     rows = []
     for j, q in enumerate(ca.abscissae):
         rows.append(
@@ -83,8 +85,8 @@ def curve_attribution_rows(ca: CurveAttribution):
     return header, rows
 
 
-def banded_rows(b: BandedSeries, x_name: str = "fpr"):
-    header = [x_name, "mean", "std"]
+def banded_rows(b: BandedSeries):
+    header = ["fpr", "mean", "std"]
     rows = [
         (float(x), float(m), float(s))
         for x, m, s in zip(b.abscissae, b.mean, b.std)
@@ -93,7 +95,7 @@ def banded_rows(b: BandedSeries, x_name: str = "fpr"):
 
 
 def slice_band_rows(mcca: McCurveAttribution):
-    header = ["fpr" if mcca.kind == ROC_SLICE else "recall"]
+    header = [_ABSCISSA[mcca.kind][0]]
     for name in mcca.feature_names:
         header += [f"mean_{name}", f"std_{name}"]
     rows = []
@@ -212,7 +214,9 @@ class WhiskerChart:
                 raise DataError(f"bar {b.name!r} has invalid value/err")
 
     def to_svg(self) -> str:
-        return _render_whiskers(self)
+        columns = [(b.name, 0.0, b.value, b.color, percent(b.value), b.err) for b in self.bars]
+        return _render_columns(columns, self.title, self.y_label,
+                               pad=0.05, width=0.55, opacity=0.85, min_height=0.0)
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,6 @@ def waterfall(attr: Attribution) -> WaterfallSpec:
 
 def contribution_curves(ca: CurveAttribution) -> PlotDocument:
     """One series per feature plus the combined (reference − baseline) envelope."""
-    x_label = "false positive rate" if ca.kind == ROC_SLICE else "recall"
     series = [
         Series(name, ca.abscissae, ca.values[i], color_for(i))
         for i, name in enumerate(ca.feature_names)
@@ -261,14 +264,13 @@ def contribution_curves(ca: CurveAttribution) -> PlotDocument:
         )
     )
     return PlotDocument(
-        "Per-feature contribution curves", x_label, "Shapley contribution",
+        "Per-feature contribution curves", _ABSCISSA[ca.kind][1], "Shapley contribution",
         tuple(series),
     )
 
 
 def relative_contributions(ca: CurveAttribution) -> PlotDocument:
     """φ_i / Σφ_j per grid point; points with |Σφ| < 1e-9 become gaps."""
-    x_label = "false positive rate" if ca.kind == ROC_SLICE else "recall"
     denom = ca.values.sum(axis=0)
     safe = np.where(np.abs(denom) < GAP_TOL, np.nan, denom)
     series = tuple(
@@ -276,7 +278,8 @@ def relative_contributions(ca: CurveAttribution) -> PlotDocument:
         for i, name in enumerate(ca.feature_names)
     )
     return PlotDocument(
-        "Relative contributions", x_label, "share of combined contribution", series
+        "Relative contributions", _ABSCISSA[ca.kind][1], "share of combined contribution",
+        series,
     )
 
 
@@ -472,90 +475,48 @@ def _render_plot(doc: PlotDocument) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def _render_whiskers(chart: WhiskerChart) -> str:
-    values = [b.value for b in chart.bars]
-    spans = [b.value - b.err for b in chart.bars] + [b.value + b.err for b in chart.bars]
-    lo, hi = _padded(min(0.0, *spans), max(0.0, *spans))
+def _render_columns(columns, title, y_label, pad, width, opacity, min_height) -> str:
+    """Categorical chart: one column per slot, spanning y0..y1 in value units.
+
+    Each column is (name, y0, y1, color, label, err).  A column with an err
+    gets a ±err whisker on y1 and its label above the whisker; one without
+    gets its label above the bar and a dashed connector at y1 across to the
+    next column.  The value range always holds 0.
+    """
+    spans = [0.0]
+    for _, y0, y1, _, _, err in columns:
+        spans += [y0, y1] if err is None else [y0, y1 - err, y1 + err]
+    lo, hi = _padded(min(spans), max(spans), pad)
     frame = _Frame((0.0, 1.0), (lo, hi))
     root = _svg_root()
-    k = len(chart.bars)
-    slot = (frame.px1 - frame.px0) / max(k, 1)
-    bar_w = slot * 0.55
-    y_zero = frame.y(0.0)
-    for i, bar in enumerate(chart.bars):
-        cx = frame.px0 + (i + 0.5) * slot
-        top = frame.y(max(bar.value, 0.0))
-        bottom = frame.y(min(bar.value, 0.0))
-        ET.SubElement(root, "rect", {
-            "x": _fmt(cx - bar_w / 2), "y": _fmt(top),
-            "width": _fmt(bar_w), "height": _fmt(max(bottom - top, 0.0)),
-            "fill": bar.color, "fill-opacity": "0.85",
-        })
-        _line(root, cx, frame.y(bar.value - bar.err), cx,
-              frame.y(bar.value + bar.err), stroke="#333333", width=1.4)
-        cap = bar_w * 0.25
-        for v in (bar.value - bar.err, bar.value + bar.err):
-            _line(root, cx - cap, frame.y(v), cx + cap, frame.y(v),
-                  stroke="#333333", width=1.4)
-        _text(root, cx, frame.py1 + 16, bar.name, size=10)
-        _text(root, cx, frame.y(bar.value + bar.err) - 6, percent(bar.value), size=10)
-    _line(root, frame.px0, y_zero, frame.px1, y_zero, stroke="#999999", width=0.8)
-    _line(root, frame.px0, frame.py0, frame.px0, frame.py1)
-    for t in np.linspace(lo, hi, 5):
-        py = frame.y(t)
-        _line(root, frame.px0 - 4, py, frame.px0, py)
-        _text(root, frame.px0 - 8, py + 3, _tick_label(t), size=10, anchor="end")
-    ylab = _text(root, 16, (frame.py0 + frame.py1) / 2, chart.y_label, size=12)
-    ylab.set(
-        "transform",
-        f"rotate(-90 {_fmt(16)} {_fmt((frame.py0 + frame.py1) / 2)})",
-    )
-    _text(root, (frame.px0 + frame.px1) / 2, MARGIN["top"] - 14, chart.title,
-          size=13, **{"font-weight": "bold"})
-    return ET.tostring(root, encoding="unicode")
-
-
-def render_waterfall(wf: WaterfallSpec) -> str:
-    """Waterfall chart: anchored baseline/total columns, floating φ bars."""
-    # Re-assert the additivity invariant at render time.
-    drift = abs(wf.baseline + sum(v for _, v in wf.bars) - wf.total)
-    if drift > EFFICIENCY_TOL:
-        raise DataError("waterfall does not add up: baseline + bars != total")
-    levels = [wf.baseline]
-    for _, v in wf.bars:
-        levels.append(levels[-1] + v)
-    lo = min(0.0, min(levels))
-    hi = max(0.0, max(levels))
-    lo, hi = _padded(lo, hi, 0.12)
-    frame = _Frame((0.0, 1.0), (lo, hi))
-    root = _svg_root()
-    columns = [(wf.baseline_label, 0.0, wf.baseline, ANCHOR_COLOR, wf.baseline)]
-    running = wf.baseline
-    for name, v in wf.bars:
-        color = POSITIVE_COLOR if v >= 0 else NEGATIVE_COLOR
-        columns.append((name, running, running + v, color, v))
-        running += v
-    columns.append((wf.total_label, 0.0, wf.total, ANCHOR_COLOR, wf.total))
-    slot = (frame.px1 - frame.px0) / len(columns)
-    bar_w = slot * 0.6
-    for i, (name, y0, y1, color, value) in enumerate(columns):
+    slot = (frame.px1 - frame.px0) / max(len(columns), 1)
+    bar_w = slot * width
+    for i, (name, y0, y1, color, label, err) in enumerate(columns):
         cx = frame.px0 + (i + 0.5) * slot
         top = frame.y(max(y0, y1))
         bottom = frame.y(min(y0, y1))
         ET.SubElement(root, "rect", {
             "x": _fmt(cx - bar_w / 2), "y": _fmt(top),
-            "width": _fmt(bar_w), "height": _fmt(max(bottom - top, 0.5)),
-            "fill": color, "fill-opacity": "0.9",
+            "width": _fmt(bar_w), "height": _fmt(max(bottom - top, min_height)),
+            "fill": color, "fill-opacity": str(opacity),
         })
-        anchored = i == 0 or i == len(columns) - 1
-        label = percent(value) if anchored else f"{100.0 * value:+.2f}%"
-        _text(root, cx, top - 6, label, size=10)
-        _text(root, cx, frame.py1 + 16, name, size=10)
-        if i + 1 < len(columns):
-            # Connector at the running level across to the next column.
-            _line(root, cx + bar_w / 2, frame.y(y1),
-                  cx + slot - bar_w / 2, frame.y(y1),
-                  stroke="#aaaaaa", width=0.8, dash="3 2")
+        if err is None:
+            _text(root, cx, top - 6, label, size=10)
+            _text(root, cx, frame.py1 + 16, name, size=10)
+            if i + 1 < len(columns):
+                # Connector at the running level across to the next column.
+                _line(root, cx + bar_w / 2, frame.y(y1),
+                      cx + slot - bar_w / 2, frame.y(y1),
+                      stroke="#aaaaaa", width=0.8, dash="3 2")
+        else:
+            _line(root, cx, frame.y(y1 - err), cx, frame.y(y1 + err),
+                  stroke="#333333", width=1.4)
+            cap = bar_w * 0.25
+            for v in (y1 - err, y1 + err):
+                _line(root, cx - cap, frame.y(v), cx + cap, frame.y(v),
+                      stroke="#333333", width=1.4)
+            _text(root, cx, frame.py1 + 16, name, size=10)
+            _text(root, cx, frame.y(y1 + err) - 6, label, size=10)
     _line(root, frame.px0, frame.y(0.0), frame.px1, frame.y(0.0),
           stroke="#999999", width=0.8)
     _line(root, frame.px0, frame.py0, frame.px0, frame.py1)
@@ -563,10 +524,25 @@ def render_waterfall(wf: WaterfallSpec) -> str:
         py = frame.y(t)
         _line(root, frame.px0 - 4, py, frame.px0, py)
         _text(root, frame.px0 - 8, py + 3, _tick_label(t), size=10, anchor="end")
-    _text(root, (frame.px0 + frame.px1) / 2, MARGIN["top"] - 14,
-          f"{wf.total_label}: {percent(wf.total)}", size=13,
+    if y_label is not None:
+        mid = (frame.py0 + frame.py1) / 2
+        _text(root, 16, mid, y_label, size=12, transform=f"rotate(-90 {_fmt(16)} {_fmt(mid)})")
+    _text(root, (frame.px0 + frame.px1) / 2, MARGIN["top"] - 14, title, size=13,
           **{"font-weight": "bold"})
     return ET.tostring(root, encoding="unicode")
+
+
+def render_waterfall(wf: WaterfallSpec) -> str:
+    """Waterfall chart: anchored baseline/total columns, floating φ bars."""
+    columns = [(wf.baseline_label, 0.0, wf.baseline, ANCHOR_COLOR, percent(wf.baseline), None)]
+    running = wf.baseline
+    for name, v in wf.bars:
+        color = POSITIVE_COLOR if v >= 0 else NEGATIVE_COLOR
+        columns.append((name, running, running + v, color, f"{100.0 * v:+.2f}%", None))
+        running += v
+    columns.append((wf.total_label, 0.0, wf.total, ANCHOR_COLOR, percent(wf.total), None))
+    return _render_columns(columns, f"{wf.total_label}: {percent(wf.total)}", None,
+                           pad=0.12, width=0.6, opacity=0.9, min_height=0.5)
 
 
 def write_svg(path: str | Path, svg: str) -> None:

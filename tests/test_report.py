@@ -49,6 +49,9 @@ def banknote_roc_curveattr(banknote_split):
     return shapley_curve(evaluate_slices(spec, default_grid()))
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
 def parse(svg: str) -> ET.Element:
     return ET.fromstring(svg)
 
@@ -176,12 +179,6 @@ class TestWaterfall:
         assert "50.00%" in svg
         assert "AUC" in svg
 
-    def test_render_reasserts_additivity(self, banknote_attr):
-        wf = waterfall(banknote_attr)
-        object.__setattr__(wf, "total", wf.total + 1.0)
-        with pytest.raises(errors.DataError):
-            render_waterfall(wf)
-
     def test_negative_bars_render(self):
         attr = Attribution(
             ("up", "down"), np.array([0.3, -0.1]), 0.5, 0.7, Target.auc()
@@ -190,6 +187,25 @@ class TestWaterfall:
         assert_clean_svg(svg)
         assert "+30.00%" in svg
         assert "-10.00%" in svg
+
+    def test_render_structure(self):
+        attr = Attribution(
+            ("up", "down", "flat"), np.array([0.3, -0.1, 0.0]), 0.5, 0.7, Target.auc()
+        )
+        root = parse(render_waterfall(waterfall(attr)))
+        n = attr.n
+        assert len(root.findall(f"{SVG}rect")) == n + 2
+        connectors = [el for el in root.iter(f"{SVG}line")
+                      if el.get("stroke-dasharray") == "3 2"]
+        assert len(connectors) == n + 1
+        texts = [el.text for el in root.iter(f"{SVG}text")]
+        # Each column writes its value label, then its name.
+        columns = [("random baseline", "50.00%"), ("up", "+30.00%"),
+                   ("down", "-10.00%"), ("flat", "+0.00%"), ("AUC", "70.00%")]
+        for name, label in columns:
+            at = texts.index(name)
+            assert texts[at - 1] == label
+        assert texts[-1] == "AUC: 70.00%"
 
 
 class TestContributionCurves:
@@ -314,6 +330,24 @@ class TestWhiskers:
     def test_negative_err_rejected(self):
         with pytest.raises(errors.DataError):
             WhiskerChart("t", "y", (WhiskerBar("a", 0.5, -0.1, "#000"),))
+
+    def test_render_structure(self):
+        bars = (WhiskerBar("a", 0.25, 0.05, "#111111"),
+                WhiskerBar("b", -0.1, 0.0, "#222222"))
+        root = parse(WhiskerChart("title", "y label", bars).to_svg())
+        rects = root.findall(f"{SVG}rect")
+        assert [r.get("fill") for r in rects] == ["#111111", "#222222"]
+        whiskers = [el for el in root.iter(f"{SVG}line") if el.get("stroke") == "#333333"]
+        assert len(whiskers) == 3 * len(bars)
+        texts = [el.text for el in root.iter(f"{SVG}text")]
+        # Each bar writes its name, then its value label above the whisker.
+        assert texts[:4] == ["a", "25.00%", "b", "-10.00%"]
+        assert texts[-2:] == ["y label", "title"]
+
+    def test_no_bars_render(self):
+        svg = WhiskerChart("t", "y", ()).to_svg()
+        assert_clean_svg(svg)
+        assert parse(svg).find(f"{SVG}rect") is None
 
 
 class TestPlotDocument:

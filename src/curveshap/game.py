@@ -11,19 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import methodcaller
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .curves import (
-    Strategy,
-    check_grid,
-    estimate_precision,
-    estimate_tpr,
-    pr_curves,
-    roc_curves,
-)
+from .curves import Strategy, check_grid, pr_batch, roc_batch
 from .dataset import Dataset
 from .errors import (
     DataError,
@@ -43,9 +36,14 @@ EXACT_MODE_CAP = 20
 # holds about BATCH_FLOATS × 8 bytes (512 KiB) however wide they are.
 BATCH_FLOATS = 1 << 16
 # Float64 values per score beside the k terms.  tracemalloc measures about 3.7
-# while a batch is scored (its log-likelihoods and scores) and 8.2 while it is
-# swept (its scores and the sweep's order and counts).
+# while a batch is scored (its log-likelihoods and scores).  A sweep of 15 to
+# 29 coalitions on 275 test rows peaks at 8.2 without ties and 9.3 with them:
+# about 6.5 per score (its scores, counts, padded points and trapezoid terms)
+# plus numpy's two ufunc buffers of 8192 floats, whatever the sweep's size.
 SWEEP_FLOATS = 8
+# Float64 values per coalition and slice abscissa while a sweep's operating
+# points are bracketed; tracemalloc measures about 13.
+BRACKET_FLOATS = 13
 
 AUC = "auc"
 ROC_SLICE = "roc_slice"
@@ -206,8 +204,10 @@ class PayoffEngine:
     of the target's curve family), then its payoffs at the slice `abscissae`
     the engine is bound to: none for an area target, the target's own, or a
     grid; it is zero if the scores admit no curve.  `payoffs` scores the given
-    coalitions in batches of one size, each scored in one call and swept in
-    one pass; nothing is kept between calls.
+    coalitions in chunks of one size, one `score` call each, and sweeps
+    consecutive chunks together into one `CurveBatch`, whose areas and
+    operating points give the payoffs of all its rows at once; nothing is
+    kept between calls.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -221,9 +221,7 @@ class PayoffEngine:
         roc = target.kind in _ROC_KINDS
         # Random-classifier value of the metric at each slice abscissa.
         self.baselines = self.abscissae if roc else np.full(self.abscissae.size, 0.5)
-        self._sweep = roc_curves if roc else pr_curves
-        self._area = attrgetter("auc" if roc else "auprc")
-        self._estimate = estimate_tpr if roc else estimate_precision
+        self._sweep = roc_batch if roc else pr_batch
         self.spec = spec
         self.scorer = spec.fit(spec.train)
         self.trainings = 0      # coalitions scored
@@ -232,55 +230,87 @@ class PayoffEngine:
         """The (1 + abscissae, len(masks)) payoff columns of `masks`, Python
         ints, in order; mask 0, the empty coalition, gets a zero column unscored.
 
-        The other masks are grouped by size k in batches of at most
+        The other masks are grouped by size k, sizes in the order they first
+        appear, and scored in chunks of at most
         BATCH_FLOATS // (test rows × (k + SWEEP_FLOATS)) coalitions, at least
-        one each, which bounds the floats a batch holds while it is scored and
-        swept; a repeated mask is scored again.
+        one each.  Consecutive chunks, of one size or several, are swept
+        together while the sweep's test rows × SWEEP_FLOATS + abscissae ×
+        BRACKET_FLOATS floats per coalition fit BATCH_FLOATS; a chunk that
+        alone does not is swept alone.  That bounds the floats a batch holds
+        while it is scored and swept.  A repeated mask is scored again.
         """
-        by_size: dict[int, list[int]] = {}
-        for column, mask in enumerate(masks):
-            if mask:
-                by_size.setdefault(mask.bit_count(), []).append(column)
+        n = self.spec.n
+        for mask in (min(masks, default=0), max(masks, default=0)):
+            if mask >> n:       # a negative mask shifts to -1
+                raise DataError(f"mask {mask:#x} has bits beyond arity {n}")
+        sizes = np.fromiter(map(int.bit_count, masks), dtype=np.min_scalar_type(n),
+                            count=len(masks))
         out = np.zeros((1 + self.abscissae.size, len(masks)))
-        for k, columns in by_size.items():
-            step = max(1, BATCH_FLOATS // (self.spec.test.n_rows * (k + SWEEP_FLOATS)))
-            for start in range(0, len(columns), step):
-                batch = columns[start:start + step]
-                out[:, batch] = self._rows([masks[c] for c in batch]).T
+        for chunks in self._sweeps(sizes):
+            columns = np.concatenate(chunks)
+            rows = self._rows(list(map(masks.__getitem__, columns.tolist())),
+                              [chunk.size for chunk in chunks])
+            out[:, columns] = rows.T
         return out
 
-    def _rows(self, masks: list[int]) -> np.ndarray:
-        """The (M, 1 + abscissae) payoff rows of M coalitions of one size; a zero
-        row, with one DegenerateCurveWarning each, where the scores admit no curve."""
+    def _sweeps(self, sizes: np.ndarray):
+        """The columns of the non-empty masks of `sizes` (their popcounts), as
+        lists of consecutive scoring chunks, one list per sweep."""
+        rows = self.spec.test.n_rows
+        per_coalition = rows * SWEEP_FLOATS + self.abscissae.size * BRACKET_FLOATS
+        order = np.argsort(sizes, kind="stable")
+        counts = np.bincount(sizes)
+        starts = (np.cumsum(counts) - counts).tolist()
+        # Sizes in the order they first appear: order[starts[k]] is the first
+        # mask of size k.  Size 0, the empty coalition, is not scored.
+        present = (np.flatnonzero(counts[1:]) + 1).tolist()
+        present.sort(key=lambda k: order[starts[k]])
+        sweep, floats = [], 0
+        for k in present:
+            group = order[starts[k]:starts[k] + counts[k]]
+            step = max(1, BATCH_FLOATS // (rows * (k + SWEEP_FLOATS)))
+            for start in range(0, group.size, step):
+                chunk = group[start:start + step]
+                if sweep and floats + chunk.size * per_coalition > BATCH_FLOATS:
+                    yield sweep
+                    sweep, floats = [], 0
+                sweep.append(chunk)
+                floats += chunk.size * per_coalition
+        if sweep:
+            yield sweep
+
+    def _rows(self, masks: list[int], chunks: list[int]) -> np.ndarray:
+        """The (M, 1 + abscissae) payoff rows of M coalitions, scored in
+        consecutive chunks of the given lengths, each of one size, and swept
+        together; a zero row, with one DegenerateCurveWarning each, where the
+        scores admit no curve."""
         spec, slices = self.spec, self.abscissae
-        for mask in masks:
-            if mask >> spec.n:
-                raise DataError(f"mask {mask:#x} has bits beyond arity {spec.n}")
         # Masks are Python ints of any width: unpack them bytewise, not as int64.
         width = (spec.n + 7) // 8
-        raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        raw = b"".join(map(methodcaller("to_bytes", width, "little"), masks))
         bits = np.unpackbits(
             np.frombuffer(raw, np.uint8).reshape(len(masks), width),
             axis=1, bitorder="little",
         )
-        columns = np.nonzero(bits)[1].reshape(len(masks), masks[0].bit_count())
+        scores = np.empty((len(masks), spec.test.n_rows))
+        start = 0
+        for size in chunks:
+            columns = np.nonzero(bits[start:start + size])[1].reshape(size, -1)
+            scores[start:start + size] = self.scorer.score(spec.test, columns)
+            start += size
         self.trainings += len(masks)
-        scores = np.asarray(self.scorer.score(spec.test, columns), dtype=np.float64)
         finite = np.isfinite(scores).all(axis=1)
         reasons = dict.fromkeys(np.flatnonzero(~finite).tolist(),
                                 "scores contain non-finite values")
-        valid = np.flatnonzero(finite).tolist()
+        rows = np.zeros((len(masks), 1 + slices.size))
         try:
             curves = self._sweep(scores, spec.test.labels)
         except (SingleClassLabels, NoPositiveLabels) as exc:
-            reasons.update(dict.fromkeys(valid, str(exc)))
-            valid = []
-        rows = np.zeros((len(masks), 1 + slices.size))
-        for i in valid:
-            curve = curves[i]
-            rows[i, 0] = self._area(curve) - 0.5
+            reasons.update(dict.fromkeys(np.flatnonzero(finite).tolist(), str(exc)))
+        else:
+            rows[finite, 0] = curves.areas[finite] - 0.5
             if slices.size:
-                rows[i, 1:] = self._estimate(curve, slices, spec.strategy) - self.baselines
+                rows[finite, 1:] = curves.estimate(slices, spec.strategy)[finite] - self.baselines
         for i in sorted(reasons):
             warnings.warn(
                 f"coalition {masks[i]:#x} has no valid curve ({reasons[i]}); payoff set to 0",

@@ -16,15 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import (
-    Strategy,
-    check_grid,
-    default_grid,
-    estimate_precision,
-    estimate_tpr,
-    pr_from_scores,
-    roc_from_scores,
-)
+from .curves import Strategy, check_grid, default_grid, pr_batch, roc_batch
 from .dataset import Dataset, SplitSpec, split
 from .errors import DataError
 from .game import _ROC_KINDS, GameSpec, Target
@@ -153,8 +145,7 @@ def mc_bands(
     """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
-    sweep, estimate = ((roc_from_scores, estimate_tpr) if kind == "roc"
-                       else (pr_from_scores, estimate_precision))
+    sweep = roc_batch if kind == "roc" else pr_batch
     games = {}      # curve family → game; slice targets come last and win
     for target in sorted(targets, key=lambda t: t.is_slice):
         games[target.kind in _ROC_KINDS] = Target(target.kind)
@@ -167,7 +158,8 @@ def mc_bands(
     for k in range(cfg.iterations):
         train, test = split(d, cfg.split_spec(k))
         model = train_gnb(train)
-        rows[k] = estimate(sweep(model.score(test), test.labels), grid, Strategy.INTERPOLATION)
+        curve = sweep(model.score(test)[np.newaxis], test.labels)
+        rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
         solved = {}
         for family, target in games.items():
             spec = GameSpec(target, train, test, strategy, fit=lambda _: model)

@@ -94,3 +94,21 @@ def stable_sweep_curve(scores, labels, family: str):
         x = np.concatenate([[0.0], tp / n_pos])
         y = np.concatenate([precision[:1], precision])
     return x, y, float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+
+
+def bracket_value(x, y, q: float, strategy: str) -> float:
+    """The value at abscissa `q`, inside its span, of the curve through the
+    points (x, y), x ascending, found by scanning the points: a is the last
+    point with x ≤ q and b the first with x ≥ q.  `strategy` is "optimistic"
+    (the larger of y_a, y_b), "pessimistic" (the smaller) or "interpolation"
+    (linear between them, their mean where x_a == x_b)."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    a = max(i for i, xi in enumerate(x) if xi <= q)
+    b = min(i for i, xi in enumerate(x) if xi >= q)
+    if strategy == "optimistic":
+        return max(y[a], y[b])
+    if strategy == "pessimistic":
+        return min(y[a], y[b])
+    if x[a] == x[b]:
+        return 0.5 * (y[a] + y[b])
+    return y[a] + (y[b] - y[a]) * (q - x[a]) / (x[b] - x[a])

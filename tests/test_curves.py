@@ -12,14 +12,16 @@ from curveshap.curves import (
     default_grid,
     estimate_precision,
     estimate_tpr,
+    pr_batch,
     pr_curves,
     pr_from_scores,
+    roc_batch,
     roc_curves,
     roc_from_scores,
     trapezoid,
 )
 
-from oracles import auc_rank_statistic, stable_sweep_curve
+from oracles import auc_rank_statistic, bracket_value, stable_sweep_curve
 
 STRATEGIES = tuple(Strategy)
 
@@ -274,6 +276,37 @@ def test_batch_rows_equal_single_rows(seed):
                 np.testing.assert_array_equal(getattr(curve, field), getattr(alone, field))
         for row, curve in zip(scores, roc_curves(scores, labels)):
             assert abs(curve.auc - auc_rank_statistic(row, labels)) < 1e-12
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 100_000))
+def test_batch_estimates_equal_single_curve_estimates(seed):
+    """Each row of a batch, tie-free or tied and padded, gets from
+    `CurveBatch.estimate` what `estimate_tpr` / `estimate_precision` give its
+    own curve, bit for bit, under every strategy, at 0, 1, every abscissa a
+    point can take and the default grid; both equal a scan of the points."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2, 40))
+    labels = rng.integers(0, 2, rows)
+    labels[:2] = [0, 1]
+    scores = rng.random((int(rng.integers(2, 8)), rows))
+    scores[::2] = np.round(scores[::2], 1)   # ties in every other row
+    scores[0, 1] = scores[0, 0]
+    for batch, single, estimate, n in (
+        (roc_batch, roc_from_scores, estimate_tpr, int((labels == 0).sum())),
+        (pr_batch, pr_from_scores, estimate_precision, int((labels == 1).sum())),
+    ):
+        queries = np.concatenate([[0.0, 1.0], np.arange(n + 1) / n, default_grid()])
+        curves = batch(scores, labels)
+        assert (curves.lengths < rows + 1).any() and (curves.lengths == rows + 1).any()
+        for s in STRATEGIES:
+            for row, values in zip(scores, curves.estimate(queries, s)):
+                curve = single(row, labels)
+                alone = estimate(curve, queries, s)
+                np.testing.assert_array_equal(values.view(np.int64), alone.view(np.int64))
+                x, y = curve.points.T
+                scanned = np.array([bracket_value(x, y, q, s.value) for q in queries])
+                np.testing.assert_array_equal(alone.view(np.int64), scanned.view(np.int64))
 
 
 @settings(max_examples=12)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -492,6 +493,31 @@ class CountingScorer:
         return self.model.score(test, columns)
 
 
+class RecordingScorer(CountingScorer):
+    """A CountingScorer that also keeps the columns of each batch."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.columns = []
+
+    def score(self, test, columns):
+        self.columns.append(np.array(columns))
+        return super().score(test, columns)
+
+
+def count_sweeps(monkeypatch):
+    """The number of rows of each curve sweep the engines built from now on
+    make, in order."""
+    rows = []
+    for name in ("roc_batch", "pr_batch"):
+        def counted(scores, labels, sweep=getattr(game, name)):
+            rows.append(len(scores))
+            return sweep(scores, labels)
+
+        monkeypatch.setattr(game, name, counted)
+    return rows
+
+
 def prefix_masks(perms):
     return {mask for perm in perms
             for mask in itertools.accumulate(1 << int(i) for i in perm)}
@@ -609,9 +635,10 @@ def banknote_with_noise(banknote, columns):
 
 # Peak traced bytes of one `payoffs` call, in units of the default budget's
 # BATCH_FLOATS float64 (512 KiB).  Measured at n=16 on 275 test rows (numpy
-# 2.4.6): 0.69 for k=1, 1.87 for k=8 and 0.22 for k=16.  At k=8 about half of
-# it is the call's own per-mask lists and output for 12,870 masks, which grow
-# with the masks, not the batch.
+# 2.4.6): 0.58 for k=1, 1.42 for k=8 and 0.23 for k=16.  At k=8 the call
+# also holds its output and its popcount grouping of 12,870 masks, about
+# 17 bytes a mask, which grow with the masks, not the batch; with one Python
+# int per mask in per-size lists instead, the peak was 1.89.
 BATCH_PEAK_MULTIPLE = 2.5
 
 
@@ -683,3 +710,58 @@ def test_single_class_test_set_makes_every_coalition_degenerate(banknote_split, 
 
     assert sorted(degenerate_masks(run)) == list(range(1, 16))
     np.testing.assert_array_equal(table.values, np.zeros(16))
+
+
+@pytest.mark.parametrize("kind", [AUC, AUPRC, ROC_SLICE, PRC_SLICE])
+def test_small_exact_game_sweeps_once(banknote_split, kind, monkeypatch):
+    """At the default budget the 15 coalitions of banknote are scored one size
+    per `score` call and swept together, on the default grid too."""
+    train, test = banknote_split
+    sweeps, scorer = count_sweeps(monkeypatch), CountingScorer(train)
+    spec = GameSpec(Target(kind), train, test, Strategy.INTERPOLATION, fit=lambda _: scorer)
+    if kind in (AUC, AUPRC):
+        evaluate_all(spec)
+    else:
+        evaluate_slices(spec, default_grid())
+    assert sweeps == [15]
+    assert scorer.batches == [(4, 1), (6, 2), (4, 3), (1, 4)]
+
+
+def test_merged_sweeps_keep_the_score_batches(banknote, monkeypatch):
+    """Sweeping several chunks at once changes no `score` call: each size's
+    coalitions are scored in chunks of
+    BATCH_FLOATS // (test rows × (k + SWEEP_FLOATS)), in the order in which
+    one coalition per call scores them."""
+    train, test = banknote_with_noise(banknote, 4)
+    default = game.BATCH_FLOATS
+
+    def run(batch_floats):
+        monkeypatch.setattr(game, "BATCH_FLOATS", batch_floats)
+        scorer = RecordingScorer(train)
+        evaluate_all(GameSpec(Target.auc(), train, test, fit=lambda _: scorer))
+        return scorer
+
+    sweeps = count_sweeps(monkeypatch)
+    merged = run(default)
+    chunks = []
+    for k in range(1, 9):
+        size, step = math.comb(8, k), default // (test.n_rows * (k + game.SWEEP_FLOATS))
+        chunks += [(min(step, size - start), k) for start in range(0, size, step)]
+    assert merged.batches == chunks
+    assert len(sweeps) < len(chunks)
+    assert sum(sweeps) == 255
+    single = run(1)
+    assert single.batches == [(1, k) for k in range(1, 9) for _ in range(math.comb(8, k))]
+    assert ([row for c in merged.columns for row in c.tolist()]
+            == [row for c in single.columns for row in c.tolist()])
+
+
+def test_degenerate_warnings_follow_the_first_appearance_of_sizes(banknote_split):
+    """Sizes are scored in the order they first appear among the masks asked
+    for, each size's masks in the order given."""
+    train, test = banknote_split
+    engine = PayoffEngine(GameSpec(Target.auc(), train, test, fit=fit_nan))
+    masks = [0b0011, 0, 0b0100, 0b0101, 0b1111, 0b0001, 0b0011]
+    assert degenerate_masks(lambda: engine.payoffs(masks)) == [
+        0b0011, 0b0101, 0b0011, 0b0100, 0b0001, 0b1111,
+    ]

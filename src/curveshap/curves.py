@@ -176,11 +176,8 @@ def _batch(scores, labels, n_pos: int, n_neg: int, roc: bool) -> CurveBatch:
     del tp, fp          # all but `counts`
     terms = x[:, 1:] - x[:, :-1]
     terms *= y[:, 1:] + y[:, :-1]
-    areas = 0.5 * np.sum(terms, axis=1)
-    # A tied row sums only its own terms: trailing zero terms would change
-    # the order of numpy's pairwise summation, and so the area's bits.
-    for i, length in zip(tied.tolist(), lengths[tied].tolist()):
-        areas[i] = 0.5 * terms[i, :length - 1].sum()
+    # Summed in point order: the zero terms of a tied row's padding add nothing.
+    areas = 0.5 * np.cumsum(terms, axis=1, out=terms)[:, -1]
     return CurveBatch(np.arange(n + 1) / n, counts, x, y, lengths, areas)
 
 

@@ -16,17 +16,12 @@ size as an (M, k) index array scored in one pass.  One coalition gives
 coalition scored alone, bit for bit.
 
 A row's log-likelihood is the sum of its k per-feature terms added in
-ascending order of value, so it does not depend on the order of the
-coalition's columns.  The sum is, bit for bit, numpy's add-reduce of the
-sorted terms along a C-contiguous last axis: fewer than eight values are
-added one by one from 0.0; eight to 128 go to eight accumulators stepping by
-eight, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the rest are then
-added in order.  For k up to NETWORK_WIDTH the terms of a batch are laid out
-feature-major, one (M, rows) plane per feature; a comparator network sorts
-the planes with whole-plane minimum/maximum, and the planes are added in that
-order with one numpy call per plane, not per lane.  Wider coalitions keep
-each lane's k terms C-contiguous, sort them and let numpy sum them: its
-add-reduce of a strided view can add in another order and change the bits.
+ascending order of value, one after another from 0.0, so it does not depend
+on the order of the coalition's columns.  The terms of a batch are laid out
+feature-major, one (M, rows) plane per feature.  For k up to NETWORK_WIDTH a
+comparator network sorts the planes with whole-plane minimum/maximum; wider
+blocks are sorted along the feature axis by numpy.  The sorted planes are
+then added in order with one numpy call per plane, not per lane.
 """
 
 from __future__ import annotations
@@ -48,10 +43,11 @@ from .errors import (
 VAR_SMOOTHING = 1e-9
 VAR_FLOOR = 1e-12
 # Widest coalition whose terms are sorted by a comparator network; wider ones
-# sort each lane.  Timed per k as whole `score` calls on the batches that
-# game.BATCH_FLOATS gives at 275 test rows, the network is faster up to 12
-# features, and from 13 to 16 the two paths are within about 20% of each
-# other, as close as repeated runs of one path.
+# by np.sort along the feature axis.  Timed as whole `score` calls on the
+# batches that game.BATCH_FLOATS gives at 275 test rows (numpy 2.4, 2 vCPU),
+# np.sort takes 1.15-1.43x the network's time at k = 10-12, 1.04-1.13x at
+# 13-14, 0.99-1.01x at 15 and 0.92-0.93x at 16; a width of 14 made no
+# measurable difference to a whole `explain-auc --sampled 500` run at n = 16.
 NETWORK_WIDTH = 12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -141,35 +137,24 @@ def _terms(sq: np.ndarray, var: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _network_sum(planes: np.ndarray, out: np.ndarray) -> None:
-    """Write to `out` the sum over the first axis of `planes` (k, ...), added
-    in ascending order of value exactly as numpy adds the sorted values along
-    a C-contiguous last axis: the same bits as `np.sort(a).sum(axis=-1)`.
+def _sorted_sum(planes: np.ndarray, out: np.ndarray) -> None:
+    """Write to `out` the sum over the first axis of `planes` (k, ...), its
+    values added in ascending order, one after another from 0.0.
 
-    `planes` is overwritten.  k must be at most 128, numpy's pairwise block.
+    `planes` is overwritten.
     """
-    p, spare = list(planes), np.empty_like(out)
-    for i, j in _network(len(p)):
-        np.minimum(p[i], p[j], out=spare)
-        np.maximum(p[i], p[j], out=p[j])
-        p[i], spare = spare, p[i]
-    if len(p) < 8:
-        # numpy adds fewer than eight values one after another from 0.0.
-        out[...] = 0.0
-        for plane in p:
-            out += plane
-        return
-    # Eight accumulators step through the values by eight, are combined
-    # pairwise, and the values past the last full step follow one by one;
-    # the reduction then adds that sum to its identity, 0.0.
-    full = len(p) - len(p) % 8
-    for i in range(8, full):
-        p[i % 8] += p[i]
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        p[a] += p[b]
-    for plane in p[full:]:
-        p[0] += plane
-    np.add(p[0], 0.0, out=out)
+    if len(planes) <= NETWORK_WIDTH:
+        p, spare = list(planes), np.empty_like(out)
+        for i, j in _network(len(p)):
+            np.minimum(p[i], p[j], out=spare)
+            np.maximum(p[i], p[j], out=p[j])
+            p[i], spare = spare, p[i]
+    else:
+        planes.sort(axis=0)
+        p = planes
+    out[...] = 0.0
+    for plane in p:
+        out += plane
 
 
 def score(
@@ -209,17 +194,9 @@ def score(
         # order, so coalition projections that differ only in feature
         # position score bit-identically.
         sq = (test.features - m.means[c]) ** 2
-        if cols.shape[1] <= NETWORK_WIDTH:
-            # Feature-major (k, M, rows): a comparator network sorts whole
-            # (M, rows) planes, which are then added in numpy's own order.
-            block = _terms(np.take(sq.T, cols.T, axis=0),
-                           variances[c].T[..., np.newaxis], log_norms[c].T[..., np.newaxis])
-            _network_sum(block, out=log_joint[c])
-        else:
-            # Lanes of a C-contiguous (rows, M, k) block, as sort and sum need.
-            block = _terms(np.take(sq, cols, axis=1), variances[c], log_norms[c])
-            block.sort(axis=-1)
-            log_joint[c] = block.sum(axis=-1).T
+        block = _terms(np.take(sq.T, cols.T, axis=0),
+                       variances[c].T[..., np.newaxis], log_norms[c].T[..., np.newaxis])
+        _sorted_sum(block, out=log_joint[c])
         # Freed before the other class gathers its own: a batch holds one
         # block of k terms per score at a time, as game.BATCH_FLOATS counts.
         del block

@@ -125,8 +125,9 @@ def _shapley_map(payoffs) -> np.ndarray:
         chunk = np.stack(payoffs[start:start + step])
         for i in range(n):
             without = masks[(masks >> i & 1) == 0]
-            # np.take keeps rows C-contiguous, so each row sums pairwise exactly
-            # as a single table's payoff vector would.
+            # np.take keeps rows C-contiguous and of one length, and one np.sum
+            # call adds every such row in the same order, whichever order the
+            # numpy release uses: a row sums as a single table's vector would.
             with_i = np.take(chunk, without | (1 << i), axis=1)
             gains = with_i - np.take(chunk, without, axis=1)
             values[i, start:start + step] = np.sum(weights[sizes[without]] * gains, axis=1)

@@ -48,10 +48,21 @@ def random_game(rng: np.random.Generator, n: int) -> dict[int, float]:
     return payoffs
 
 
+def in_order_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of `values`, added one value after another
+    from 0.0 by an explicit loop: neither np.sum nor Python's sum(), whose
+    orders (pairwise, compensated) are their own."""
+    total = np.zeros(values.shape[:-1])
+    for j in range(values.shape[-1]):
+        total += values[..., j]
+    return total
+
+
 def sorted_sum_scores(m, test, cols) -> np.ndarray:
-    """(M, rows) GNB scores of an (M, k) batch of coalitions, summing each
-    lane's terms as `np.sort(...).sum(axis=-1)` does on a C-contiguous
-    (rows, M, k) block: the formula the package's network must reproduce."""
+    """(M, rows) GNB scores of an (M, k) batch of coalitions from a
+    row-major (rows, M, k) block of terms: each lane's k terms sorted and
+    added in ascending order from 0.0, the formula the package's
+    feature-major planes must reproduce."""
     from curveshap.model import VAR_FLOOR, VAR_SMOOTHING
 
     cols = np.asarray(cols, dtype=np.intp)
@@ -67,9 +78,7 @@ def sorted_sum_scores(m, test, cols) -> np.ndarray:
         terms /= var
         terms += np.log(2.0 * np.pi) + np.log(var)
         terms *= -0.5
-        terms = np.ascontiguousarray(terms)
-        terms.sort(axis=-1)
-        log_joint.append(np.log(m.priors[c]) + terms.sum(axis=-1))
+        log_joint.append(np.log(m.priors[c]) + in_order_sum(np.sort(terms, axis=-1)))
     l0, l1 = log_joint
     return np.ascontiguousarray(np.exp(l1 - np.logaddexp(l0, l1)).T)
 
@@ -77,7 +86,8 @@ def sorted_sum_scores(m, test, cols) -> np.ndarray:
 def stable_sweep_curve(scores, labels, family: str):
     """(x, y, area) of the ROC (`family` "roc") or PR ("pr") curve of one row
     of scores: a stable descending sort, each tied group collapsed to its
-    last index, and a trapezoid over the points."""
+    last index, and a trapezoid over the points, its terms added in point
+    order from 0.0."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     order = np.argsort(-scores, kind="stable")
@@ -93,7 +103,7 @@ def stable_sweep_curve(scores, labels, family: str):
         precision = tp / (tp + fp)
         x = np.concatenate([[0.0], tp / n_pos])
         y = np.concatenate([precision[:1], precision])
-    return x, y, float(0.5 * np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+    return x, y, 0.5 * float(in_order_sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
 
 
 def bracket_value(x, y, q: float, strategy: str) -> float:

@@ -12,13 +12,13 @@ from curveshap.model import (
     NETWORK_WIDTH,
     VAR_FLOOR,
     _network,
-    _network_sum,
+    _sorted_sum,
     score,
     train_gnb,
 )
 
 from conftest import make_blobs
-from oracles import sorted_sum_scores
+from oracles import in_order_sum, sorted_sum_scores
 
 
 def assert_same_bits(a, b):
@@ -218,10 +218,11 @@ class TestScoreColumns:
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 120))
 def test_score_batches_equal_sorted_sum_oracle(seed, rows):
-    """Batches of every width from 0 to 20, on both sides of NETWORK_WIDTH,
-    score bit for bit as the sort-and-sum formula.  The last 22 columns have
-    variances below 1e-3 and the very last is constant, so the batch's last
-    coalition, drawn from them alone, is smoothed at VAR_FLOOR."""
+    """Batches of every width from 0 to 44, every column of the dataset, on
+    both sides of NETWORK_WIDTH, score bit for bit as the in-order sorted-sum
+    formula.  The last 22 columns have variances below 1e-3 and the very last
+    is constant, so the batch's last coalition, drawn from them alone, is
+    smoothed at VAR_FLOOR."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, rows)
     labels[:2] = [0, 1]
@@ -231,7 +232,7 @@ def test_score_batches_equal_sorted_sum_oracle(seed, rows):
     d = cs.Dataset(np.hstack([spread + labels[:, None], tiny]), labels,
                    tuple(f"f{i}" for i in range(44)))
     m = train_gnb(d)
-    for k in range(21):
+    for k in range(45):
         batch = np.array([rng.permutation(44)[:k] for _ in range(5)]
                          + [np.arange(44 - k, 44)[::-1]], dtype=np.intp).reshape(6, k)
         assert_same_bits(score(m, d, batch), sorted_sum_scores(m, d, batch))
@@ -247,10 +248,11 @@ class TestNetworkSum:
             planes[i], planes[j] = np.minimum(planes[i], planes[j]), np.maximum(planes[i], planes[j])
         np.testing.assert_array_equal(np.array(planes).T, np.sort(bits, axis=1))
 
-    @pytest.mark.parametrize("k", range(1, NETWORK_WIDTH + 1))
+    @pytest.mark.parametrize("k", range(1, 21))
     def test_network_sum_is_numpys_sorted_sum(self, k):
-        """Guards the summation order: a numpy whose add-reduce of a
-        contiguous last axis adds in another order fails here."""
+        """Guards the summation order on both sides of NETWORK_WIDTH: the
+        sorted values are added in ascending order, one after another from
+        0.0, whether the network or np.sort sorted them."""
         rng = np.random.default_rng(k)
         lanes = rng.standard_normal((4000, k)) * 10.0 ** rng.integers(-8, 9, (4000, k))
         special = rng.random((4000, k))
@@ -261,8 +263,8 @@ class TestNetworkSum:
         lanes[:3] = [-0.0], [0.0], [np.nan]
         got = np.empty(len(lanes))
         with np.errstate(invalid="ignore"):     # inf - inf
-            want = np.ascontiguousarray(np.sort(lanes, axis=-1)).sum(axis=-1)
-            _network_sum(np.ascontiguousarray(lanes.T), out=got)
+            want = in_order_sum(np.sort(lanes, axis=-1))
+            _sorted_sum(np.ascontiguousarray(lanes.T), out=got)
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert_same_bits(got[~nan], want[~nan])

@@ -15,9 +15,18 @@ size as an (M, k) index array scored in one pass.  One coalition gives
 (rows,) scores and a batch (M, rows); each row of a batch equals its
 coalition scored alone, bit for bit.
 
+A coalition's per-feature log-likelihood terms depend on the coalition only
+through its variance smoothing, which is the largest of its members' own
+smoothings.  So the first call that scores a test set tabulates them: with
+the columns ranked by own smoothing, level r holds the terms of the r + 1
+lowest-ranked columns at the smoothing of the column of rank r, in all
+n(n+1)/2 × test rows float64 per class.  The model keeps the tables of the
+last test set object it scored and builds them again for another; a batch
+gathers its terms from them.
+
 A row's log-likelihood is the sum of its k per-feature terms added in
 ascending order of value, one after another from 0.0, so it does not depend
-on the order of the coalition's columns.  The terms of a batch are laid out
+on the order of the coalition's columns.  The terms of a batch are gathered
 feature-major, one (M, rows) plane per feature.  For k up to NETWORK_WIDTH a
 comparator network sorts the planes with whole-plane minimum/maximum; wider
 blocks are sorted along the feature axis by numpy.  The sorted planes are
@@ -26,7 +35,7 @@ then added in order with one numpy call per plane, not per lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
 
@@ -35,6 +44,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import (
     ArityMismatch,
+    DataError,
     IndexOutOfRange,
     RepeatedColumn,
     SingleClassTrainingSet,
@@ -61,6 +71,8 @@ class TrainedModel:
     means: np.ndarray           # (2, n_features)
     ml_variances: np.ndarray    # (2, n_features), unsmoothed ML estimates
     column_variances: np.ndarray  # (n_features,) training variance; sets the smoothing
+    # The last test set scored and its term tables, as _term_tables gives them.
+    _tables: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_features(self) -> int:
@@ -104,6 +116,36 @@ def _smoothing(column_variances: np.ndarray) -> np.ndarray:
     )
 
 
+def _term_tables(m: TrainedModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's log-likelihood terms -0.5 * ((x - mean)² / var + log 2π var)
+    of `test` at every column's own variance smoothing.
+
+    Returns (rank, terms).  `rank` (n,) orders the columns by their own
+    smoothing, ties by index, so a coalition's smoothing is that of its
+    member of highest rank r (scaling by VAR_SMOOTHING and flooring keep the
+    order of the variances); call it level r.  `terms` (2, n(n+1)/2, rows)
+    holds, at row r(r+1)/2 + q, the terms of the column of rank q ≤ r at
+    level r, from the float operations of a term computed for one coalition.
+    """
+    own = _smoothing(m.column_variances[:, np.newaxis])     # one-column coalitions
+    order = np.argsort(own, kind="stable")
+    level = np.repeat(np.arange(order.size), np.arange(1, order.size + 1))
+    column = order[np.arange(level.size) - level * (level + 1) // 2]
+    variances = m.ml_variances[:, column] + own[order[level]]
+    log_norms = _LOG_2PI + np.log(variances)
+    terms = np.empty((2, column.size, test.n_rows))
+    # mode="clip" (the columns are in range) gathers into `terms` in place;
+    # mode="raise" would first gather into a buffer of the same size.
+    np.take(test.features.T, column, axis=0, out=terms[0], mode="clip")
+    terms[1] = terms[0]
+    terms -= m.means[:, column, np.newaxis]
+    np.square(terms, out=terms)
+    terms /= variances[..., np.newaxis]
+    terms += log_norms[..., np.newaxis]
+    terms *= -0.5
+    return np.argsort(order), terms
+
+
 @cache
 def _network(k: int) -> tuple[tuple[int, int], ...]:
     """Batcher's odd–even merge sort of k values: comparators (i, j), i < j,
@@ -125,16 +167,6 @@ def _network(k: int) -> tuple[tuple[int, int], ...]:
             step //= 2
         p *= 2
     return tuple(pairs)
-
-
-def _terms(sq: np.ndarray, var: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
-    """The log-likelihood terms -0.5 * (log 2π + log var + (x - mean)² / var),
-    computed in place in the gathered squared deviations `sq`: the block is
-    the batch's largest array.  `log_norm` is log 2π + log var."""
-    sq /= var
-    sq += log_norm
-    sq *= -0.5
-    return sq
 
 
 def _sorted_sum(planes: np.ndarray, out: np.ndarray) -> None:
@@ -163,39 +195,48 @@ def score(
     """Positive-class posterior probability for every row of `test`.
 
     `test` has the model's columns.  `columns` names one coalition by its
-    distinct column indices (None: all columns; no indices: the prior-only
-    model) or, as an (M, k) array, a batch of M coalitions of k columns.  Each
-    coalition is scored exactly as by a model trained on its columns alone.
-    Returns (rows,) scores for one coalition and (M, rows) for a batch.
+    distinct integer column indices (None: all columns; no indices: the
+    prior-only model) or, as an (M, k) integer array, a batch of M coalitions
+    of k columns.  Each coalition is scored exactly as by a model trained on
+    its columns alone.  Returns (rows,) scores for one coalition and
+    (M, rows) for a batch.
+
+    The terms are gathered from the model's term tables of `test`, built on
+    the first call for this test set object (2 × n(n+1)/2 × test rows
+    float64) and kept on the model until it scores another.
     """
     if test.n_features != m.n_features:
         raise ArityMismatch(m.n_features, test.n_features)
-    cols = np.asarray(
-        range(m.n_features) if columns is None else columns, dtype=np.intp
-    )
+    cols = np.asarray(range(m.n_features) if columns is None else columns)
+    if cols.size and cols.dtype.kind not in "iu":
+        raise DataError(f"column indices must be integers, got dtype {cols.dtype}")
     batch = cols.ndim == 2
     if not batch:
         cols = cols.reshape(1, cols.size)
     outside = cols[(cols < 0) | (cols >= m.n_features)]
     if outside.size:
         raise IndexOutOfRange(int(outside[0]), m.n_features)
+    cols = cols.astype(np.intp)
     ordered = np.sort(cols, axis=1)
     repeated = ordered[:, 1:][ordered[:, 1:] == ordered[:, :-1]]
     if repeated.size:
         raise RepeatedColumn(int(repeated[0]))
-    variances = (np.take(m.ml_variances, cols, axis=1)
-                 + _smoothing(np.take(m.column_variances, cols))[:, np.newaxis])
-    log_norms = _LOG_2PI + np.log(variances)
+    if m._tables is None or m._tables[0] is not test:
+        # Held with its test set, whose identity keys them; the old tables
+        # are freed before the new ones are built.
+        object.__setattr__(m, "_tables", None)
+        object.__setattr__(m, "_tables", (test, *_term_tables(m, test)))
+    _, rank, terms = m._tables
+    # Each coalition's table rows at its level, feature-major.  Summing each
+    # lane's terms in value order makes the scores independent of column
+    # order, so coalition projections that differ only in feature position
+    # score bit-identically.
+    ranks = rank[cols]
+    level = ranks.max(axis=1, initial=0)[:, np.newaxis]
+    rows = (level * (level + 1) // 2 + ranks).T
     log_joint = np.empty((2, cols.shape[0], test.n_rows))
     for c in (0, 1):
-        # The squared deviation does not depend on the coalition, so it is
-        # computed once per column and gathered by np.take.  Summing each
-        # lane's terms in value order makes the scores independent of column
-        # order, so coalition projections that differ only in feature
-        # position score bit-identically.
-        sq = (test.features - m.means[c]) ** 2
-        block = _terms(np.take(sq.T, cols.T, axis=0),
-                       variances[c].T[..., np.newaxis], log_norms[c].T[..., np.newaxis])
+        block = np.take(terms[c], rows, axis=0)
         _sorted_sum(block, out=log_joint[c])
         # Freed before the other class gathers its own: a batch holds one
         # block of k terms per score at a time, as game.BATCH_FLOATS counts.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import curveshap as cs
+from curveshap import model
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -61,3 +62,17 @@ def make_blobs(
 @pytest.fixture
 def blobs():
     return make_blobs(np.random.default_rng(7))
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The test set of every term-table build that `model.score` makes, in
+    order, while the test runs."""
+    builds, build = [], model._term_tables
+
+    def counting(m, test):
+        builds.append(test)
+        return build(m, test)
+
+    monkeypatch.setattr(model, "_term_tables", counting)
+    return builds

@@ -660,6 +660,41 @@ def test_batch_memory_is_bounded_by_the_budget(banknote, k):
     assert peak < BATCH_PEAK_MULTIPLE * (1 << 16) * 8
 
 
+@pytest.mark.parametrize("noise", [12, 66])
+def test_first_score_memory_is_bounded_by_the_tables(banknote, noise):
+    """The first `score` call on a test set builds its term tables: its peak
+    stays within their n(n+1)/2 × test rows float64 per class plus one
+    batch's BATCH_FLOATS float64."""
+    train, test = banknote_with_noise(banknote, noise)
+    n, rows = train.n_features, test.n_rows
+    k = n // 2
+    count = max(1, game.BATCH_FLOATS // (rows * (k + game.SWEEP_FLOATS)))
+    rng = np.random.default_rng(0)
+    batch = np.array([rng.permutation(n)[:k] for _ in range(count)])
+    expected = score(train_gnb(train), test, batch)    # warms the network cache
+    m = train_gnb(train)
+    tracemalloc.start()
+    try:
+        scores = score(m, test, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(scores, expected)
+    assert peak < (n * (n + 1) // 2 * rows * 2 + game.BATCH_FLOATS) * 8
+
+
+def test_one_term_table_per_exact_game(banknote, table_builds):
+    """An exact game builds its split's term tables once, however many
+    batches it scores."""
+    train, test = banknote_with_noise(banknote, 2)
+    assert train.n_features == 6
+    evaluate_all(GameSpec(Target.auc(), train, test))
+    assert table_builds == [test]
+    evaluate_slices(GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION),
+                    default_grid())
+    assert table_builds == [test, test]
+
+
 def test_wide_coalitions_share_a_batch(banknote):
     """On 70 features and 275 test rows, coalitions of 30 or more features
     are batched by the floats a batch holds, not one per `score` call."""

@@ -205,6 +205,19 @@ class TestScoreColumns:
         with pytest.raises(errors.IndexOutOfRange):
             score(m, blobs, np.array([[0, 1], [1, blobs.n_features]]))
 
+    @pytest.mark.parametrize("columns, dtype", [
+        ([0.9], "float64"),
+        ([True, False], "bool"),
+        (np.ones((2, 2), dtype=bool), "bool"),
+    ], ids=["float", "bool", "membership"])
+    def test_non_integer_indices_rejected(self, blobs, columns, dtype):
+        """Indices are integers: a float or boolean array is not read as the
+        columns it would cast to, and a boolean membership row is not taken
+        for a repeated column."""
+        with pytest.raises(errors.DataError, match=dtype) as exc:
+            score(train_gnb(blobs), blobs, columns)
+        assert type(exc.value) is errors.DataError
+
     def test_repeated_column_rejected(self, blobs):
         m = train_gnb(blobs)
         with pytest.raises(errors.RepeatedColumn) as exc:
@@ -213,6 +226,23 @@ class TestScoreColumns:
         with pytest.raises(errors.RepeatedColumn) as exc:
             score(m, blobs, np.array([[0, 1], [1, 1]]))
         assert exc.value.index == 1
+
+
+def test_each_test_set_gets_its_own_tables(banknote):
+    """One model scores test sets in turn, each dropped before the next is
+    made, so a freed test set's id may come back: other splits' test rows,
+    each in two Dataset objects.  Every one gets the bits a fresh model gives
+    it."""
+    train, test = cs.split(banknote, cs.SplitSpec(0.8, 0))
+    m = train_gnb(train)
+    batch = np.array(list(itertools.combinations(range(4), 2)))
+    score(m, test, batch)
+    others = [cs.split(banknote, cs.SplitSpec(0.8, seed))[1] for seed in (1, 2, 3)]
+    for rows in others:
+        for _ in range(2):
+            t = cs.Dataset(rows.features, rows.labels, rows.feature_names)
+            assert_same_bits(score(m, t, batch), score(train_gnb(train), t, batch))
+            del t
 
 
 @settings(max_examples=8)

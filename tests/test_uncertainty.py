@@ -201,6 +201,14 @@ class TestMcBands:
         mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
         assert (split.calls, fit.calls) == (3, 3)
 
+    def test_one_term_table_per_iteration(self, banknote, table_builds):
+        """The band's score and the game share one model, so each iteration
+        builds its test set's term tables once."""
+        cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
+        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        assert len(table_builds) == 3
+        assert len({id(test) for test in table_builds}) == 3
+
     def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
         """An area and a slice target of one curve family share one game, so
         each iteration scores each of the 15 coalitions once, not twice."""

@@ -17,26 +17,27 @@ coalition scored alone, bit for bit.
 
 A coalition's per-feature log-likelihood terms depend on the coalition only
 through its variance smoothing, which is the largest of its members' own
-smoothings.  So the first call that scores a test set tabulates them: with
-the columns ranked by own smoothing, level r holds the terms of the r + 1
-lowest-ranked columns at the smoothing of the column of rank r, in all
-n(n+1)/2 × test rows float64 per class.  The model keeps the tables of the
-last test set object it scored and builds them again for another; a batch
-gathers its terms from them.
+smoothings.  So the first call that scores a test set ranks the columns and
+tabulates the terms: with the columns ranked by own smoothing first, level r
+holds the terms of the r + 1 lowest-ranked columns at the smoothing of the
+column of rank r, in all n(n+1)/2 × test rows float64 per class.  The model
+keeps the tables of the last test set object it scored and builds them again
+for another; a batch gathers its terms from them.
 
 A row's log-likelihood is the sum of its k per-feature terms added in
-ascending order of value, one after another from 0.0, so it does not depend
-on the order of the coalition's columns.  The terms of a batch are gathered
-feature-major, one (M, rows) plane per feature.  For k up to NETWORK_WIDTH a
-comparator network sorts the planes with whole-plane minimum/maximum; wider
-blocks are sorted along the feature axis by numpy.  The sorted planes are
-then added in order with one numpy call per plane, not per lane.
+ascending order of column rank, one after another from 0.0.  The rank is
+fixed by the columns' content, never their position: own smoothing, then the
+class means, then the ML variances, then the test values.  So the sum order
+does not depend on the order of the columns, a model retrained on a
+coalition's columns sums in the same order, and duplicate columns score
+bit-identically.  The terms are not added smallest value first.  A batch's
+terms are gathered feature-major, one (M, rows) plane per feature in rank
+order, and added with one numpy call per plane, not per lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -52,14 +53,6 @@ from .errors import (
 
 VAR_SMOOTHING = 1e-9
 VAR_FLOOR = 1e-12
-# Widest coalition whose terms are sorted by a comparator network; wider ones
-# by np.sort along the feature axis.  Timed as whole `score` calls on the
-# batches that game.BATCH_FLOATS gives at 275 test rows (numpy 2.4, 2 vCPU),
-# np.sort takes 1.15-1.43x the network's time at k = 10-12, 1.04-1.13x at
-# 13-14, 0.99-1.01x at 15 and 0.92-0.93x at 16; a width of 14 made no
-# measurable difference to a whole `explain-auc --sampled 500` run at n = 16.
-NETWORK_WIDTH = 12
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -121,14 +114,23 @@ def _term_tables(m: TrainedModel, test: Dataset) -> tuple[np.ndarray, np.ndarray
     of `test` at every column's own variance smoothing.
 
     Returns (rank, terms).  `rank` (n,) orders the columns by their own
-    smoothing, ties by index, so a coalition's smoothing is that of its
-    member of highest rank r (scaling by VAR_SMOOTHING and flooring keep the
-    order of the variances); call it level r.  `terms` (2, n(n+1)/2, rows)
-    holds, at row r(r+1)/2 + q, the terms of the column of rank q ≤ r at
-    level r, from the float operations of a term computed for one coalition.
+    smoothing, so a coalition's smoothing is that of its member of highest
+    rank r (scaling by VAR_SMOOTHING and flooring keep the order of the
+    variances); call it level r.  Ties break on the columns' class means,
+    then their ML variances, then their test values, row by row; columns
+    tied on all of these have the same terms at every level.  `terms`
+    (2, n(n+1)/2, rows) holds, at row r(r+1)/2 + q, the terms of the column of
+    rank q ≤ r at level r, from the float operations of a term computed for
+    one coalition.
     """
     own = _smoothing(m.column_variances[:, np.newaxis])     # one-column coalitions
-    order = np.argsort(own, kind="stable")
+    stats = np.vstack((own, m.means, m.ml_variances))
+    order = np.lexsort(stats[::-1])
+    tied = (stats[:, order[1:]] == stats[:, order[:-1]]).all(axis=0)
+    # Test values are compared only within the rare groups still tied.
+    for group in np.split(order, np.flatnonzero(~tied) + 1):
+        if group.size > 1:
+            group[...] = group[np.lexsort(test.features[::-1, group])]
     level = np.repeat(np.arange(order.size), np.arange(1, order.size + 1))
     column = order[np.arange(level.size) - level * (level + 1) // 2]
     variances = m.ml_variances[:, column] + own[order[level]]
@@ -146,46 +148,12 @@ def _term_tables(m: TrainedModel, test: Dataset) -> tuple[np.ndarray, np.ndarray
     return np.argsort(order), terms
 
 
-@cache
-def _network(k: int) -> tuple[tuple[int, int], ...]:
-    """Batcher's odd–even merge sort of k values: comparators (i, j), i < j,
-    each leaving the smaller value at i.  It is built for the next power of
-    two and keeps the comparators within k; the dropped ones would compare a
-    value with +inf padding past k and move nothing."""
-    width = 1
-    while width < k:
-        width *= 2
-    pairs = []
-    p = 1
-    while p < width:
-        step = p
-        while step >= 1:
-            for j in range(step % p, width - step, 2 * step):
-                for i in range(j, j + min(step, width - j - step)):
-                    if i // (2 * p) == (i + step) // (2 * p) and i + step < k:
-                        pairs.append((i, i + step))
-            step //= 2
-        p *= 2
-    return tuple(pairs)
-
-
-def _sorted_sum(planes: np.ndarray, out: np.ndarray) -> None:
+def _in_order_sum(planes: np.ndarray, out: np.ndarray) -> None:
     """Write to `out` the sum over the first axis of `planes` (k, ...), its
-    values added in ascending order, one after another from 0.0.
-
-    `planes` is overwritten.
-    """
-    if len(planes) <= NETWORK_WIDTH:
-        p, spare = list(planes), np.empty_like(out)
-        for i, j in _network(len(p)):
-            np.minimum(p[i], p[j], out=spare)
-            np.maximum(p[i], p[j], out=p[j])
-            p[i], spare = spare, p[i]
-    else:
-        planes.sort(axis=0)
-        p = planes
+    planes added in order, one after another from 0.0.  A function of its
+    own, so no view of `planes` outlives the call."""
     out[...] = 0.0
-    for plane in p:
+    for plane in planes:
         out += plane
 
 
@@ -227,17 +195,14 @@ def score(
         object.__setattr__(m, "_tables", None)
         object.__setattr__(m, "_tables", (test, *_term_tables(m, test)))
     _, rank, terms = m._tables
-    # Each coalition's table rows at its level, feature-major.  Summing each
-    # lane's terms in value order makes the scores independent of column
-    # order, so coalition projections that differ only in feature position
-    # score bit-identically.
-    ranks = rank[cols]
-    level = ranks.max(axis=1, initial=0)[:, np.newaxis]
+    # Each coalition's table rows at its level, in rank order, feature-major.
+    ranks = np.sort(rank[cols], axis=1)
+    level = ranks[:, -1:]
     rows = (level * (level + 1) // 2 + ranks).T
     log_joint = np.empty((2, cols.shape[0], test.n_rows))
     for c in (0, 1):
         block = np.take(terms[c], rows, axis=0)
-        _sorted_sum(block, out=log_joint[c])
+        _in_order_sum(block, out=log_joint[c])
         # Freed before the other class gathers its own: a batch holds one
         # block of k terms per score at a time, as game.BATCH_FLOATS counts.
         del block

@@ -155,7 +155,10 @@ def mc_bands(
     # feature and then the achieved total for an area target.
     stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
                        else (cfg.iterations, n + 1)) for t in targets]
-    for k in range(cfg.iterations):
+
+    def iterate(k: int) -> None:
+        # A function of its own, so this split's model, term tables and games
+        # are freed before the next split builds its own.
         train, test = split(d, cfg.split_spec(k))
         model = train_gnb(train)
         curve = sweep(model.score(test)[np.newaxis], test.labels)
@@ -178,6 +181,9 @@ def mc_bands(
                     target.baseline() + matrix[0, -1], target,
                 )
                 stack[k] = np.append(attr.values, attr.total)
+
+    for k in range(cfg.iterations):
+        iterate(k)
     band = BandedSeries(grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
     bands = [
         McCurveAttribution(d.feature_names, grid, stack.mean(axis=0), stack.std(axis=0),

@@ -58,14 +58,32 @@ def in_order_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
+def column_ranks(m, test) -> np.ndarray:
+    """(n,) rank of each column by the documented key, compared as Python
+    tuples: own variance smoothing, class means, ML variances, then the test
+    values row by row.  Columns equal on the whole key keep index order."""
+    from curveshap.model import VAR_FLOOR, VAR_SMOOTHING
+
+    def key(j):
+        own = max(VAR_SMOOTHING * float(m.column_variances[j]), VAR_FLOOR)
+        return (own, *m.means[:, j].tolist(), *m.ml_variances[:, j].tolist(),
+                *test.features[:, j].tolist())
+
+    ranks = np.empty(m.n_features, dtype=np.intp)
+    ranks[sorted(range(m.n_features), key=key)] = np.arange(m.n_features)
+    return ranks
+
+
 def sorted_sum_scores(m, test, cols) -> np.ndarray:
     """(M, rows) GNB scores of an (M, k) batch of coalitions from a
-    row-major (rows, M, k) block of terms: each lane's k terms sorted and
-    added in ascending order from 0.0, the formula the package's
-    feature-major planes must reproduce."""
+    row-major (rows, M, k) block of terms: each lane's k terms added in
+    ascending order of their columns' `column_ranks`, one after another from
+    0.0, the formula the package's feature-major planes must reproduce."""
     from curveshap.model import VAR_FLOOR, VAR_SMOOTHING
 
     cols = np.asarray(cols, dtype=np.intp)
+    by_rank = np.argsort(column_ranks(m, test)[cols], axis=-1)
+    cols = np.take_along_axis(cols, by_rank, axis=-1)
     smoothing = np.maximum(
         VAR_SMOOTHING * np.take(m.column_variances, cols).max(axis=-1, initial=0.0),
         VAR_FLOOR,
@@ -78,7 +96,7 @@ def sorted_sum_scores(m, test, cols) -> np.ndarray:
         terms /= var
         terms += np.log(2.0 * np.pi) + np.log(var)
         terms *= -0.5
-        log_joint.append(np.log(m.priors[c]) + in_order_sum(np.sort(terms, axis=-1)))
+        log_joint.append(np.log(m.priors[c]) + in_order_sum(terms))
     l0, l1 = log_joint
     return np.ascontiguousarray(np.exp(l1 - np.logaddexp(l0, l1)).T)
 

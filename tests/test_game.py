@@ -650,7 +650,7 @@ def test_batch_memory_is_bounded_by_the_budget(banknote, k):
     assert test.n_rows == 275
     engine = PayoffEngine(GameSpec(Target.auc(), train, test))
     masks = [sum(1 << i for i in c) for c in itertools.combinations(range(16), k)]
-    engine.payoffs(masks[:1])      # fills the comparator-network cache first
+    engine.payoffs(masks[:1])      # builds the split's term tables first
     tracemalloc.start()
     try:
         engine.payoffs(masks)
@@ -671,7 +671,7 @@ def test_first_score_memory_is_bounded_by_the_tables(banknote, noise):
     count = max(1, game.BATCH_FLOATS // (rows * (k + game.SWEEP_FLOATS)))
     rng = np.random.default_rng(0)
     batch = np.array([rng.permutation(n)[:k] for _ in range(count)])
-    expected = score(train_gnb(train), test, batch)    # warms the network cache
+    expected = score(train_gnb(train), test, batch)    # a fresh model's bits
     m = train_gnb(train)
     tracemalloc.start()
     try:

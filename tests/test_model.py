@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import errors
-from curveshap.model import (
-    NETWORK_WIDTH,
-    VAR_FLOOR,
-    _network,
-    _sorted_sum,
-    score,
-    train_gnb,
-)
+from curveshap.model import VAR_FLOOR, _in_order_sum, score, train_gnb
 
 from conftest import make_blobs
 from oracles import in_order_sum, sorted_sum_scores
@@ -248,11 +241,11 @@ def test_each_test_set_gets_its_own_tables(banknote):
 @settings(max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 120))
 def test_score_batches_equal_sorted_sum_oracle(seed, rows):
-    """Batches of every width from 0 to 44, every column of the dataset, on
-    both sides of NETWORK_WIDTH, score bit for bit as the in-order sorted-sum
-    formula.  The last 22 columns have variances below 1e-3 and the very last
-    is constant, so the batch's last coalition, drawn from them alone, is
-    smoothed at VAR_FLOOR."""
+    """Batches of every width from 0 to 44, every column of the dataset,
+    score bit for bit as their terms added in column-rank order.  The last 22
+    columns have variances below 1e-3, so they tie on own smoothing, and the
+    very last is constant, so the batch's last coalition, drawn from them
+    alone, is smoothed at VAR_FLOOR."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, rows)
     labels[:2] = [0, 1]
@@ -268,21 +261,43 @@ def test_score_batches_equal_sorted_sum_oracle(seed, rows):
         assert_same_bits(score(m, d, batch), sorted_sum_scores(m, d, batch))
 
 
-class TestNetworkSum:
-    @pytest.mark.parametrize("k", range(1, NETWORK_WIDTH + 1))
-    def test_network_sorts_every_binary_input(self, k):
-        """A comparator network that sorts every 0/1 input sorts every input."""
-        bits = ((np.arange(1 << k)[:, np.newaxis] >> np.arange(k)) & 1).astype(float)
-        planes = list(bits.T)
-        for i, j in _network(k):
-            planes[i], planes[j] = np.minimum(planes[i], planes[j]), np.maximum(planes[i], planes[j])
-        np.testing.assert_array_equal(np.array(planes).T, np.sort(bits, axis=1))
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_column_order_changes_no_bit_among_tied_columns(seed):
+    """Permuting a dataset's columns changes no bit of any coalition's scores,
+    also among columns tied on own smoothing: three columns constant in
+    training at different values (all smoothed at VAR_FLOOR), an exact
+    duplicate, and two columns equal in training but not in the test set."""
+    rng = np.random.default_rng(seed)
+    train_labels, test_labels = np.arange(40) % 2, np.arange(25) % 2
+    spread = (rng.normal(size=(65, 2)) * 10.0 ** rng.uniform(-3, 3, 2)
+              + np.concatenate([train_labels, test_labels])[:, np.newaxis])
+    constant = np.tile(rng.normal(size=3), (65, 1))
+    constant[40:] += rng.normal(size=(25, 3)) * 1e-4    # constant in training only
+    twins = np.tile(rng.normal(size=(65, 1)), 2)
+    twins[40:, 1] = rng.normal(size=25)                 # equal in training only
+    features = np.hstack([spread, constant, spread[:, :1], twins])
+    perm = rng.permutation(8)
+    moved = np.argsort(perm)        # column j is column moved[j] once permuted
 
+    def datasets(order):
+        names = tuple(f"f{i}" for i in order)
+        return (cs.Dataset(features[:40, order], train_labels, names),
+                cs.Dataset(features[40:, order], test_labels, names))
+
+    (train, test), (train_perm, test_perm) = datasets(range(8)), datasets(perm)
+    m, m_perm = train_gnb(train), train_gnb(train_perm)
+    for k in range(9):
+        batch = np.array(list(itertools.combinations(range(8), k)),
+                         dtype=np.intp).reshape(math.comb(8, k), k)
+        assert_same_bits(score(m, test, batch), score(m_perm, test_perm, moved[batch]))
+
+
+class TestNetworkSum:
     @pytest.mark.parametrize("k", range(1, 21))
     def test_network_sum_is_numpys_sorted_sum(self, k):
-        """Guards the summation order on both sides of NETWORK_WIDTH: the
-        sorted values are added in ascending order, one after another from
-        0.0, whether the network or np.sort sorted them."""
+        """Guards the summation order: the planes are added in order, one
+        after another from 0.0, through infinities, signed zeros and NaN."""
         rng = np.random.default_rng(k)
         lanes = rng.standard_normal((4000, k)) * 10.0 ** rng.integers(-8, 9, (4000, k))
         special = rng.random((4000, k))
@@ -293,8 +308,8 @@ class TestNetworkSum:
         lanes[:3] = [-0.0], [0.0], [np.nan]
         got = np.empty(len(lanes))
         with np.errstate(invalid="ignore"):     # inf - inf
-            want = in_order_sum(np.sort(lanes, axis=-1))
-            _sorted_sum(np.ascontiguousarray(lanes.T), out=got)
+            want = in_order_sum(lanes)
+            _in_order_sum(np.ascontiguousarray(lanes.T), out=got)
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert_same_bits(got[~nan], want[~nan])

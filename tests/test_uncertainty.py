@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from curveshap.uncertainty import (
     mc_bands,
     mc_curves,
 )
-from curveshap import uncertainty
+from curveshap import model, uncertainty
 
 from conftest import make_blobs
 
@@ -293,3 +294,27 @@ def reference_bands(d, cfg, kind, targets, strategy=Strategy.INTERPOLATION):
                 attr = cs.shapley_exact(cs.evaluate_all(cs.GameSpec(target, train, test)))
                 stack.append(np.append(attr.values, attr.total))
     return np.array(band), [np.array(stack) for stack in stacks]
+
+
+def test_each_iteration_frees_its_model_before_the_next(monkeypatch):
+    """An iteration's model, and with it its term tables and test set, is
+    freed before the next iteration builds its own: at every table build, no
+    model still holds tables."""
+    models, holding = [], []
+    fit, build = uncertainty.train_gnb, model._term_tables
+
+    def tracked_fit(train):
+        m = fit(train)
+        models.append(weakref.ref(m))
+        return m
+
+    def counting_build(m, test):
+        holding.append(sum(ref() is not None and ref()._tables is not None
+                           for ref in models))
+        return build(m, test)
+
+    monkeypatch.setattr(uncertainty, "train_gnb", tracked_fit)
+    monkeypatch.setattr(model, "_term_tables", counting_build)
+    d = make_blobs(np.random.default_rng(0), n_rows=60, n_features=4)
+    mc_attributions(d, McConfig(iterations=3), cs.Target.auc())
+    assert holding == [0, 0, 0]

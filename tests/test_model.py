@@ -294,6 +294,26 @@ def test_column_order_changes_no_bit_among_tied_columns(seed):
 
 
 class TestNetworkSum:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_network_sorts_every_binary_input(self, k):
+        """Every coalition of a k-column dataset, one per 0/1 membership
+        input, its columns named in descending index order, scores bit for
+        bit as its terms added in column-rank order.  The columns' variances,
+        and so their ranks, run in a random order unlike their indices, and
+        their scales span six decades, so a lane summed out of rank order
+        differs in its bits."""
+        rng = np.random.default_rng(k)
+        labels = np.arange(30) % 2
+        scale = 10.0 ** rng.permutation(np.linspace(-3, 3, k))
+        d = cs.Dataset((rng.normal(size=(30, k)) + labels[:, None]) * scale, labels,
+                       tuple(f"f{i}" for i in range(k)))
+        m = train_gnb(d)
+        bits = (np.arange(1 << k)[:, np.newaxis] >> np.arange(k)) & 1
+        for width in range(k + 1):
+            members = bits[bits.sum(axis=1) == width]
+            batch = np.nonzero(members)[1].reshape(len(members), width)[:, ::-1]
+            assert_same_bits(score(m, d, batch), sorted_sum_scores(m, d, batch))
+
     @pytest.mark.parametrize("k", range(1, 21))
     def test_network_sum_is_numpys_sorted_sum(self, k):
         """Guards the summation order: the planes are added in order, one

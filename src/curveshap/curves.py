@@ -2,10 +2,29 @@
 
 Curves are built by a descending threshold sweep with tied scores collapsed
 into a single step.  `roc_batch` / `pr_batch` sweep every row of an (M, rows)
-score array at once into one `CurveBatch` of padded (M, rows + 1) arrays: a
-row with ties keeps the last point of each tied group and repeats its end
-point after it.  `roc_curves` / `pr_curves` give each row's curve as views of
-those arrays, and `roc_from_scores` / `pr_from_scores` are their one-row case.
+score array against 0/1 labels at once into one `CurveBatch`.  A sweep ranks
+each row's labels once, highest score first, and derives the rest from that:
+
+- Ranking.  When every score of the batch is ≥ 0, as every posterior is, one
+  `np.sort` per row of uint64 keys (score bits << 1) | label ranks them; the
+  shift drops only the sign bit, so -0.0 ties with 0.0, and the keys are
+  stored inverted so that the highest score sorts first.  Neighbouring keys
+  that differ only in the label bit are ties.  Any other batch, one with a
+  negative or NaN score, takes an `argsort` of the negated scores, NaN
+  ranked last as one tied group.
+- Areas.  A row without ties adds only the trapezoid terms that move x: for
+  ROC those at its negatives, each read from how many positives rank above
+  it, for PR those at its positives; every other term is +0.0.  They are
+  added in point order, so each area keeps the bits of the trapezoid over
+  all its points.  A row with ties takes that trapezoid over its collapsed
+  points.
+- Points.  `CurveBatch` builds the padded (M, rows + 1) point arrays from the
+  ranking the first time a caller reads them (`estimate`, `rows`, `x`, ...):
+  a row with ties keeps the last point of each tied group and repeats its end
+  point after it.  An area-only game never builds them.
+
+`roc_curves` / `pr_curves` give each row's curve as views of those arrays, and
+`roc_from_scores` / `pr_from_scores` are their one-row case.
 
 `CurveBatch.estimate`, `estimate_tpr` and `estimate_precision` answer "what
 is the curve's value at this abscissa" under the three bracketing strategies,
@@ -15,17 +34,18 @@ arange(n + 1) / n; with each row's counts offset by row × (n + 2), one
 `searchsorted` over the flattened batch finds every row's bracket of every
 query.  A hand-built curve's x are ranked among their distinct values instead.
 
-The sweep's sort need not be stable.  A row with ties reads its tp/fp counts
-only at the last index of each tied group, where they count the whole group
+The ranking need not be stable.  A row with ties reads its tp/fp counts only
+at the last index of each tied group, where they count the whole group
 whatever order the sort left inside it; NaN scores, which sort last, form one
 such group.  So a curve depends only on the (score, label) pairs, not on the
-order inside a tie.
+order inside a tie, and both ranking paths give it the same bits.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,21 +88,56 @@ class PrCurve:
 
 @dataclass(frozen=True, eq=False)
 class CurveBatch:
-    """The curves of M score rows as padded (M, P) arrays, P = test rows + 1.
+    """The curves of M score rows, swept against the same labels.
 
-    Row i's points are the first `lengths[i]` columns of `x` and `y`; a row
-    with ties has fewer and repeats its end point in the rest.  `counts` holds
-    each point's false positives (ROC) or true positives (PR), and
-    x == levels[counts] with levels = arange(n + 1) / n for the n negatives
-    (ROC) or positives (PR).  `areas` holds each row's AUC or AUPRC.
+    `ranked` holds each row's labels as positives, highest score first,
+    ranked by packed (score, label) keys when every score is ≥ 0 and by an
+    `argsort` otherwise; `tied` lists the rows with tied scores and
+    `distinct` marks, for each of them, where its next score differs.
+    `areas` holds each row's AUC or AUPRC, read from that ranking when the
+    batch is swept.
+
+    The points are built from the ranking the first time they are read, as
+    padded (M, P) arrays, P = test rows + 1.  Row i's points are the first
+    `lengths[i]` columns of `x` and `y`; a row with ties has fewer and
+    repeats its end point in the rest.  `counts` holds each point's false
+    positives (ROC) or true positives (PR), and x == levels[counts] with
+    levels = arange(n + 1) / n for the n negatives (ROC) or positives (PR).
     """
 
-    levels: np.ndarray
-    counts: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    lengths: np.ndarray
+    ranked: np.ndarray
+    tied: np.ndarray
+    distinct: np.ndarray
+    n_pos: int
+    n_neg: int
+    roc: bool
     areas: np.ndarray
+
+    @property
+    def levels(self) -> np.ndarray:
+        n = self.n_neg if self.roc else self.n_pos
+        return np.arange(n + 1) / n
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        """(counts, x, y, lengths), built on the first read of any of them."""
+        return _points(self.ranked, self.tied, self.distinct, self.n_pos, self.n_neg, self.roc)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._arrays[1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._arrays[2]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self._arrays[3]
 
     def estimate(self, query: np.ndarray, s: Strategy) -> np.ndarray:
         """Every row's curve value at each abscissa of `query` (Q,) under
@@ -130,63 +185,123 @@ def check_grid(grid) -> np.ndarray:
     return grid
 
 
-def _sweep(scores: np.ndarray, labels: np.ndarray):
-    """Cumulative tp/fp counts of every row of `scores` (M, rows), swept
-    from the highest score down after a leading 0 (the origin), shape
-    (M, rows + 1); and where each row's next score differs."""
-    m, rows = scores.shape
+def _rank(scores: np.ndarray, labels: np.ndarray):
+    """Each row's labels as positives (M, rows), highest score first, and
+    where each row's next score differs (M, rows - 1)."""
+    if (scores >= 0.0).all():
+        # Non-negative floats order as their bits.  Shifting out the sign bit
+        # makes -0.0 tie with 0.0 and frees the low bit for the label.  The
+        # keys are inverted, ~((bits << 1) | label), to sort the highest
+        # score first; built as ~(bits << 1) ^ label, one pass fewer.
+        keys = np.ascontiguousarray(scores).view(np.uint64) << np.uint64(1)
+        np.invert(keys, out=keys)
+        keys ^= labels.astype(np.uint64)
+        keys.sort(axis=1)
+        return (keys & np.uint64(1)) == 0, (keys[:, 1:] ^ keys[:, :-1]) > 1
     order = np.argsort(-scores, axis=1)
     ranked = np.take_along_axis(scores, order, axis=1)
     # NaN scores sort last; they form one tied group, like equal scores.
     distinct = (ranked[:, 1:] != ranked[:, :-1]) & ~np.isnan(ranked[:, :-1])
-    labels = labels[order]          # each row's labels, highest score first
-    del order, ranked               # freed before the counts are allocated
-    tp = np.zeros((m, rows + 1), dtype=np.intp)
-    fp = np.zeros_like(tp)
-    np.cumsum(labels == 1, axis=1, out=tp[:, 1:])
-    np.cumsum(labels == 0, axis=1, out=fp[:, 1:])
-    return tp, fp, distinct
+    return labels[order] == 1, distinct
 
 
-def _batch(scores, labels, n_pos: int, n_neg: int, roc: bool) -> CurveBatch:
-    """The ROC (`roc`) or PR curves of every row of `scores` (M, rows)."""
-    tp, fp, distinct = _sweep(np.asarray(scores, dtype=np.float64), labels)
-    m, points = tp.shape
+def _points(ranked, tied, distinct, n_pos: int, n_neg: int, roc: bool) -> tuple:
+    """The counts, x, y and number of points of the ROC (`roc`) or PR curve
+    of every row of `ranked` (M, rows), from cumulative tp/fp counts after a
+    leading 0 (the origin), shape (M, rows + 1).  The rows `tied` keep the
+    origin and the last point of each tied group (`distinct`, one row each),
+    then repeat their end point."""
+    m, rows = ranked.shape
+    points = rows + 1
+    tp = np.zeros((m, points), dtype=np.intp)
+    np.cumsum(ranked, axis=1, out=tp[:, 1:])
+    fp = np.arange(points) - tp
     lengths = np.full(m, points)
-    tied = np.flatnonzero(~distinct.all(axis=1))
     if tied.size:
         # Keep the origin and the last point of each tied group, in order,
         # then repeat the end point (column points - 1) up to the full width:
         # the dropped columns, set to the last one, sort after the kept ones.
         keep = np.ones((tied.size, points), dtype=bool)
-        keep[:, 1:-1] = distinct[tied]
+        keep[:, 1:-1] = distinct
         index = np.where(keep, np.arange(points), points - 1)
         index.sort(axis=1)
         index += tied[:, np.newaxis] * points     # into the flattened batch
         tp[tied] = tp.take(index)
         fp[tied] = fp.take(index)
         lengths[tied] = keep.sum(axis=1)
+        del keep, index     # freed before x and y are allocated
     if roc:
-        n, counts, x, y = n_neg, fp, fp / n_neg, tp / n_pos
+        return fp, fp / n_neg, tp / n_pos, lengths
+    with np.errstate(invalid="ignore"):     # 0 / 0 at the origin
+        y = tp / (tp + fp)
+    y[:, 0] = y[:, 1]
+    return tp, tp / n_pos, y, lengths
+
+
+def _in_order_area(terms: np.ndarray) -> np.ndarray:
+    """Half of each row's sum of trapezoid `terms`, added in point order."""
+    return 0.5 * np.cumsum(terms, axis=1, out=terms)[:, -1]
+
+
+def _untied_areas(ranked: np.ndarray, n_pos: int, n_neg: int, roc: bool) -> np.ndarray:
+    """The areas of rows without ties from the trapezoid terms at the points
+    that move x, each row's negatives (ROC) or positives (PR): every other
+    term is (x - x) × (y + y) == +0.0, which adds nothing."""
+    m, rows = ranked.shape
+    n = n_neg if roc else n_pos
+    # The ranks of each row's n negatives (ROC) or positives (PR), in order.
+    rank = np.flatnonzero(~ranked if roc else ranked).reshape(m, n)
+    rank -= np.arange(0, m * rows, rows)[:, np.newaxis]
+    if roc:
+        # The f-th negative moves fpr from levels[f - 1] to levels[f] while
+        # tpr stays at t / n_pos, t = rank - (f - 1) positives above it.
+        rank -= np.arange(n)
+        ysum = rank / n_pos
+        ysum += ysum
     else:
-        n, counts, x = n_pos, tp, tp / n_pos
-        with np.errstate(invalid="ignore"):     # 0 / 0 at the origin
-            y = tp / (tp + fp)
-        y[:, 0] = y[:, 1]
-    del tp, fp          # all but `counts`
-    terms = x[:, 1:] - x[:, :-1]
-    terms *= y[:, 1:] + y[:, :-1]
-    # Summed in point order: the zero terms of a tied row's padding add nothing.
-    areas = 0.5 * np.cumsum(terms, axis=1, out=terms)[:, -1]
-    return CurveBatch(np.arange(n + 1) / n, counts, x, y, lengths, areas)
+        # The p-th positive takes precision from (p - 1) / rank to
+        # p / (rank + 1); the origin copies point 1, so at rank 0 it is 1.0.
+        p = np.arange(1, n + 1)
+        ysum = p / (rank + 1)
+        ysum += np.divide(p - 1, rank, out=np.ones(rank.shape), where=rank > 0)
+    levels = np.arange(n + 1) / n
+    ysum *= levels[1:] - levels[:-1]
+    return _in_order_area(ysum)
+
+
+def _batch(scores, labels, n_pos: int, n_neg: int, roc: bool) -> CurveBatch:
+    """The ROC (`roc`) or PR curves of every row of `scores` (M, rows)."""
+    ranked, distinct = _rank(np.asarray(scores, dtype=np.float64), labels)
+    untied = distinct.all(axis=1)
+    tied = np.flatnonzero(~untied)
+    distinct = distinct[tied]
+    areas = np.empty(untied.size)
+    areas[untied] = _untied_areas(ranked[untied], n_pos, n_neg, roc)
+    if tied.size:
+        x, y = _points(ranked[tied], np.arange(tied.size), distinct, n_pos, n_neg, roc)[1:3]
+        terms = x[:, 1:] - x[:, :-1]
+        terms *= y[:, 1:] + y[:, :-1]
+        # Summed in point order: the zero terms of the padding add nothing.
+        areas[tied] = _in_order_area(terms)
+    return CurveBatch(ranked, tied, distinct, n_pos, n_neg, roc, areas)
+
+
+def _class_sizes(labels) -> tuple:
+    """`labels` as an array, and its numbers of positives (1) and negatives
+    (0); any other label is a DataError."""
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != labels.size:
+        bad = labels[(labels != 0) & (labels != 1)][0]
+        raise DataError(f"labels must be 0 or 1, got {bad.item()!r}")
+    return labels, n_pos, n_neg
 
 
 def roc_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
     """Threshold-sweep ROC curves, with endpoints (0,0) and (1,1), of every
-    row of `scores` (M, rows) against the same `labels`."""
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
+    row of `scores` (M, rows) against the same 0/1 `labels`."""
+    labels, n_pos, n_neg = _class_sizes(labels)
     if n_pos == 0 or n_neg == 0:
         raise SingleClassLabels("ROC curve needs both label classes")
     return _batch(scores, labels, n_pos, n_neg, roc=True)
@@ -194,16 +309,15 @@ def roc_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
 
 def pr_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
     """Threshold-sweep PR curves of every row of `scores` (M, rows) against
-    the same `labels`.
+    the same 0/1 `labels`.
 
     The left endpoint (0, precision of the highest-score step) is prepended
     as a convention; precision at recall 0 is otherwise undefined.
     """
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
+    labels, n_pos, n_neg = _class_sizes(labels)
     if n_pos == 0:
         raise NoPositiveLabels("PR curve needs at least one positive label")
-    return _batch(scores, labels, n_pos, int((labels == 0).sum()), roc=False)
+    return _batch(scores, labels, n_pos, n_neg, roc=False)
 
 
 def roc_curves(scores: np.ndarray, labels: np.ndarray) -> list[RocCurve]:

@@ -37,9 +37,11 @@ EXACT_MODE_CAP = 20
 BATCH_FLOATS = 1 << 16
 # Float64 values per score beside the k terms.  tracemalloc measures about 3.7
 # while a batch is scored (its log-likelihoods and scores).  A sweep of 15 to
-# 29 coalitions on 275 test rows peaks at 8.2 without ties and 9.3 with them:
-# about 6.5 per score (its scores, counts, padded points and trapezoid terms)
-# plus numpy's two ufunc buffers of 8192 floats, whatever the sweep's size.
+# 29 coalitions on 275 test rows, on either ranking path, peaks at 5.2 when
+# no row is tied and only areas are read, 6.3 (ROC) or 7.3 (PR) once a slice
+# reads its points, and 7.5 when every row is tied: 4.1 to 6.4 per score (its
+# scores, sort keys or order, ranked labels, and the counts, points or
+# trapezoid terms it builds) plus 2,500 to 4,800 floats whatever its size.
 SWEEP_FLOATS = 8
 # Float64 values per coalition and slice abscissa while a sweep's operating
 # points are bracketed; tracemalloc measures about 13.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 import curveshap as cs
-from curveshap import model
+from curveshap import curves, model
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -76,3 +76,21 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(model, "_term_tables", counting)
     return builds
+
+
+@pytest.fixture
+def swept_batches(monkeypatch):
+    """Every curve batch that a sweep makes while the test runs, in order."""
+    batches, sweep = [], curves._batch
+
+    def recording(*args, **kwargs):
+        batches.append(sweep(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(curves, "_batch", recording)
+    return batches
+
+
+def points_built(batches) -> int:
+    """How many of `batches` have built their padded points."""
+    return sum("_arrays" in vars(batch) for batch in batches)

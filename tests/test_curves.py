@@ -21,7 +21,7 @@ from curveshap.curves import (
     trapezoid,
 )
 
-from oracles import auc_rank_statistic, bracket_value, stable_sweep_curve
+from oracles import auc_rank_statistic, bracket_value, in_order_sum, stable_sweep_curve
 
 STRATEGIES = tuple(Strategy)
 
@@ -342,3 +342,75 @@ def test_nan_scores_form_one_tied_group():
         np.testing.assert_array_equal(single(scores[perm], labels[perm]).points, base.points)
         # the origin, one point per finite score, one for the NaN group
         assert len(base.points) == 2 + np.isfinite(scores).sum()
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+@pytest.mark.parametrize("single", [roc_from_scores, pr_from_scores])
+def test_labels_other_than_0_or_1_rejected(single, bad):
+    """A label that is neither class is a DataError naming it, not a
+    zero-length step."""
+    with pytest.raises(errors.DataError, match=f"got {bad}"):
+        single([0.9, 0.8, 0.7, 0.6, 0.5], [1, bad, 0, 1, 0])
+
+
+# Scores that rank by their bits: subnormals, saturated posteriors, values
+# above 1 and +inf, with -0.0 beside 0.0.
+SPECIAL_SCORES = [0.0, -0.0, 5e-324, 2.5e-320, 1e-300, 0.25, 1.0 - 2.0**-53,
+                  1.0, 2.0, 3.5, 1e300, np.inf]
+
+
+def test_both_ranking_paths_agree_bit_for_bit(monkeypatch):
+    """A batch of scores ≥ 0 ranks by packed (score, label) keys; one row
+    with a NaN or a negative score switches the whole batch to `argsort`.
+    The other rows' areas, points, counts and lengths keep every bit."""
+    rng = np.random.default_rng(11)
+    rows = 60
+    labels = rng.integers(0, 2, rows)
+    labels[:2] = [0, 1]
+    special = np.array(SPECIAL_SCORES)
+    scores = rng.random((9, rows))
+    scores[1] = np.round(scores[1], 1)                          # ties
+    scores[2] = rng.choice([0.0, -0.0, 0.5], rows)              # -0.0 ties 0.0
+    scores[3, :special.size - 1] = [-0.0, *special[2:]]         # untied specials
+    scores[4] = rng.choice(special, rows)                       # tied specials
+    scores[5] = 1.0                                             # all saturated
+    scores[6] = 2.0 + rng.random(rows)
+    scores[7, labels.argmax()] = np.inf                         # a positive first
+    scores[8, labels.argmin()] = np.inf                         # a negative first
+    assert (scores >= 0.0).all() and (np.signbit(scores) == (scores == 0)).any()
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    for batch in (roc_batch, pr_batch):
+        keyed = batch(scores, labels)
+        assert calls == []
+        assert keyed.tied.tolist() == [1, 2, 4, 5]
+        for last in (np.nan, -0.5):
+            extra = rng.random(rows)
+            extra[rows // 2] = last
+            sorted_ = batch(np.vstack([scores, extra]), labels)
+            assert calls.pop() == 1
+            for field in ("areas", "x", "y", "counts", "lengths"):
+                got, want = getattr(sorted_, field)[:-1], getattr(keyed, field)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 100_000))
+def test_areas_are_in_order_trapezoids_of_their_points(seed):
+    """Each row's area, read from its ranked labels or, for a tied row, from
+    its collapsed points, equals the trapezoid over its points with the terms
+    added in point order, bit for bit; so for rows ranked first by a positive
+    and by a negative, where the PR origin copies a precision of 1 or 0."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(2, 40))
+    labels = rng.integers(0, 2, rows)
+    labels[:2] = [0, 1]
+    scores = rng.random((6, rows))
+    scores[::2] = np.round(scores[::2], 1)   # ties in every other row
+    scores[:2, labels.argmax()] = 2.0        # a positive ranked first
+    scores[2:4, labels.argmin()] = 2.0       # a negative ranked first
+    for batch in (roc_batch, pr_batch):
+        curves = batch(scores, labels)
+        for x, y, area in curves.rows():
+            assert area == 0.5 * float(in_order_sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))

@@ -37,6 +37,7 @@ from curveshap.model import score, train_gnb
 from curveshap.report import payoff_rows
 from curveshap.shapley import shapley_curve, shapley_sampled, shapley_sampled_curve
 
+from conftest import points_built
 from oracles import auc_rank_statistic
 
 
@@ -693,6 +694,21 @@ def test_one_term_table_per_exact_game(banknote, table_builds):
     evaluate_slices(GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION),
                     default_grid())
     assert table_builds == [test, test]
+
+
+@pytest.mark.parametrize("kind", [AUC, AUPRC, ROC_SLICE, PRC_SLICE])
+def test_points_are_built_only_for_slices(banknote, kind, swept_batches):
+    """An exact area game reads every sweep's areas and builds no curve
+    points; a slice game builds each sweep's points, for its operating
+    points."""
+    train, test = banknote_with_noise(banknote, 4)
+    spec = GameSpec(Target(kind), train, test, Strategy.INTERPOLATION)
+    if kind in (AUC, AUPRC):
+        evaluate_all(spec)
+    else:
+        evaluate_slices(spec, default_grid())
+    assert len(swept_batches) > 1
+    assert points_built(swept_batches) == (0 if kind in (AUC, AUPRC) else len(swept_batches))
 
 
 def test_wide_coalitions_share_a_batch(banknote):

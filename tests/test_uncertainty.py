@@ -20,7 +20,7 @@ from curveshap.uncertainty import (
 )
 from curveshap import model, uncertainty
 
-from conftest import make_blobs
+from conftest import make_blobs, points_built
 
 
 class FixedSeedConfig(McConfig):
@@ -209,6 +209,19 @@ class TestMcBands:
         mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
         assert len(table_builds) == 3
         assert len({id(test) for test in table_builds}) == 3
+
+    @pytest.mark.parametrize("kind", ["roc", "pr"])
+    def test_points_are_built_once_per_band_sweep(self, banknote, kind, swept_batches):
+        """Each iteration's curve band builds its sweep's points; an area
+        game beside it builds none, and a slice game those of its sweep."""
+        cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
+        area, curve = ((cs.Target.auc(), cs.Target.roc_slice(0.0)) if kind == "roc"
+                       else (cs.Target.auprc(), cs.Target.prc_slice(0.5)))
+        mc_bands(banknote, cfg, kind, [area])
+        assert (len(swept_batches), points_built(swept_batches)) == (6, 3)
+        swept_batches.clear()
+        mc_bands(banknote, cfg, kind, [area, curve])
+        assert (len(swept_batches), points_built(swept_batches)) == (6, 6)
 
     def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
         """An area and a slice target of one curve family share one game, so

@@ -92,10 +92,10 @@ class CurveBatch:
 
     `ranked` holds each row's labels as positives, highest score first,
     ranked by packed (score, label) keys when every score is ≥ 0 and by an
-    `argsort` otherwise; `tied` lists the rows with tied scores and
-    `distinct` marks, for each of them, where its next score differs.
-    `areas` holds each row's AUC or AUPRC, read from that ranking when the
-    batch is swept.
+    `argsort` otherwise.  `tied` lists the rows with tied scores, and
+    `tied_points` their collapsed (counts, x, y, lengths), built when the
+    batch is swept.  `areas` holds each row's AUC or AUPRC: a tied row's
+    from those points, any other row's from its ranked labels.
 
     The points are built from the ranking the first time they are read, as
     padded (M, P) arrays, P = test rows + 1.  Row i's points are the first
@@ -107,7 +107,7 @@ class CurveBatch:
 
     ranked: np.ndarray
     tied: np.ndarray
-    distinct: np.ndarray
+    tied_points: tuple
     n_pos: int
     n_neg: int
     roc: bool
@@ -120,8 +120,14 @@ class CurveBatch:
 
     @cached_property
     def _arrays(self) -> tuple:
-        """(counts, x, y, lengths), built on the first read of any of them."""
-        return _points(self.ranked, self.tied, self.distinct, self.n_pos, self.n_neg, self.roc)
+        """(counts, x, y, lengths), built on the first read of any of them;
+        the tied rows' come from `tied_points`."""
+        if self.tied.size == len(self.ranked):
+            return self.tied_points
+        arrays = _points(self.ranked, self.n_pos, self.n_neg, self.roc)
+        for whole, tied in zip(arrays, self.tied_points):
+            whole[self.tied] = tied
+        return arrays
 
     @property
     def counts(self) -> np.ndarray:
@@ -205,31 +211,30 @@ def _rank(scores: np.ndarray, labels: np.ndarray):
     return labels[order] == 1, distinct
 
 
-def _points(ranked, tied, distinct, n_pos: int, n_neg: int, roc: bool) -> tuple:
+def _points(ranked, n_pos: int, n_neg: int, roc: bool, distinct=None) -> tuple:
     """The counts, x, y and number of points of the ROC (`roc`) or PR curve
-    of every row of `ranked` (M, rows), from cumulative tp/fp counts after a
-    leading 0 (the origin), shape (M, rows + 1).  The rows `tied` keep the
-    origin and the last point of each tied group (`distinct`, one row each),
-    then repeat their end point."""
+    of every row of `ranked` (M, rows), as padded (M, rows + 1) arrays from
+    cumulative tp/fp counts after a leading 0 (the origin).  Given `distinct`
+    (M, rows - 1), each row keeps the origin and the last point of each tied
+    group, then repeats its end point."""
     m, rows = ranked.shape
     points = rows + 1
     tp = np.zeros((m, points), dtype=np.intp)
     np.cumsum(ranked, axis=1, out=tp[:, 1:])
-    fp = np.arange(points) - tp
+    column = np.arange(points)          # each point's scores swept, tp + fp
     lengths = np.full(m, points)
-    if tied.size:
+    if distinct is not None:
         # Keep the origin and the last point of each tied group, in order,
         # then repeat the end point (column points - 1) up to the full width:
         # the dropped columns, set to the last one, sort after the kept ones.
-        keep = np.ones((tied.size, points), dtype=bool)
+        keep = np.ones((m, points), dtype=bool)
         keep[:, 1:-1] = distinct
-        index = np.where(keep, np.arange(points), points - 1)
-        index.sort(axis=1)
-        index += tied[:, np.newaxis] * points     # into the flattened batch
-        tp[tied] = tp.take(index)
-        fp[tied] = fp.take(index)
-        lengths[tied] = keep.sum(axis=1)
-        del keep, index     # freed before x and y are allocated
+        column = np.where(keep, column, points - 1)
+        column.sort(axis=1)
+        lengths = keep.sum(axis=1)
+        tp = tp.take(column + np.arange(0, m * points, points)[:, np.newaxis])
+    fp = column - tp
+    del column          # freed before x and y are allocated
     if roc:
         return fp, fp / n_neg, tp / n_pos, lengths
     with np.errstate(invalid="ignore"):     # 0 / 0 at the origin
@@ -274,16 +279,18 @@ def _batch(scores, labels, n_pos: int, n_neg: int, roc: bool) -> CurveBatch:
     ranked, distinct = _rank(np.asarray(scores, dtype=np.float64), labels)
     untied = distinct.all(axis=1)
     tied = np.flatnonzero(~untied)
-    distinct = distinct[tied]
     areas = np.empty(untied.size)
-    areas[untied] = _untied_areas(ranked[untied], n_pos, n_neg, roc)
+    if untied.any():
+        areas[untied] = _untied_areas(ranked[untied], n_pos, n_neg, roc)
+    tied_points = ()
     if tied.size:
-        x, y = _points(ranked[tied], np.arange(tied.size), distinct, n_pos, n_neg, roc)[1:3]
+        tied_points = _points(ranked[tied], n_pos, n_neg, roc, distinct[tied])
+        x, y = tied_points[1:3]
         terms = x[:, 1:] - x[:, :-1]
         terms *= y[:, 1:] + y[:, :-1]
         # Summed in point order: the zero terms of the padding add nothing.
         areas[tied] = _in_order_area(terms)
-    return CurveBatch(ranked, tied, distinct, n_pos, n_neg, roc, areas)
+    return CurveBatch(ranked, tied, tied_points, n_pos, n_neg, roc, areas)
 
 
 def _class_sizes(labels) -> tuple:

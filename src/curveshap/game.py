@@ -39,9 +39,9 @@ BATCH_FLOATS = 1 << 16
 # while a batch is scored (its log-likelihoods and scores).  A sweep of 15 to
 # 29 coalitions on 275 test rows, on either ranking path, peaks at 5.2 when
 # no row is tied and only areas are read, 6.3 (ROC) or 7.3 (PR) once a slice
-# reads its points, and 7.5 when every row is tied: 4.1 to 6.4 per score (its
+# reads its points, and 8.4 when every row is tied: 4.1 to 7.2 per score (its
 # scores, sort keys or order, ranked labels, and the counts, points or
-# trapezoid terms it builds) plus 2,500 to 4,800 floats whatever its size.
+# trapezoid terms it builds) plus 2,600 to 5,600 floats whatever its size.
 SWEEP_FLOATS = 8
 # Float64 values per coalition and slice abscissa while a sweep's operating
 # points are bracketed; tracemalloc measures about 13.

@@ -377,7 +377,7 @@ def test_both_ranking_paths_agree_bit_for_bit(monkeypatch):
     scores[6] = 2.0 + rng.random(rows)
     scores[7, labels.argmax()] = np.inf                         # a positive first
     scores[8, labels.argmin()] = np.inf                         # a negative first
-    assert (scores >= 0.0).all() and (np.signbit(scores) == (scores == 0)).any()
+    assert (scores >= 0.0).all() and np.signbit(scores).any()   # -0.0 is ≥ 0
     argsort, calls = np.argsort, []
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
     for batch in (roc_batch, pr_batch):

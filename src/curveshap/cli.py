@@ -281,7 +281,7 @@ def _run_slice_curves(kind: str, params: dict, out: Path) -> list[str]:
 
     abscissa_key = report._ABSCISSA[kind][0]
     lines = [
-        f"target: {'TPR over FPR grid' if kind == game.ROC_SLICE else 'precision over recall grid'}",
+        f"target: {spec.target.describe()}",
         f"strategy: {strategy.value}",
         f"grid: {grid.size} points",
     ]

@@ -115,9 +115,10 @@ class Target:
             return "AUC"
         if self.kind == AUPRC:
             return "AUPRC"
-        if self.kind == ROC_SLICE:
-            return f"TPR at FPR={self.abscissa:g}"
-        return f"precision at recall={self.abscissa:g}"
+        roc = self.kind == ROC_SLICE
+        if self.abscissa is None:
+            return "TPR over FPR grid" if roc else "precision over recall grid"
+        return f"TPR at FPR={self.abscissa:g}" if roc else f"precision at recall={self.abscissa:g}"
 
 
 @dataclass(frozen=True, eq=False)

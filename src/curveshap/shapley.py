@@ -2,9 +2,10 @@
 
 `shapley_exact` enumerates a complete payoff table with the classic
 combinatorial weights; `shapley_sampled` estimates the same values from
-uniformly random feature permutations.  A sampled estimate draws all its
-permutations first, scores their distinct prefix coalitions in one
-`PayoffEngine.payoffs` call, and reads each marginal from that call's columns.
+uniformly random feature permutations.  A sampled game draws its
+permutations once, scores their distinct prefix coalitions in one
+`PayoffEngine.payoffs` call, and reads the marginals of every payoff row from
+that call's columns; `shapley_sampled_curve` reads one row per grid point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .curves import check_grid, trapezoid
 from .errors import DataError, GridTooCoarse
-from .game import GameSpec, PayoffEngine, PayoffTable, Target
+from .game import AUC, AUPRC, PRC_SLICE, ROC_SLICE, GameSpec, PayoffEngine, PayoffTable, Target
 
 EFFICIENCY_TOL = 1e-9
 MIN_CONSISTENCY_GRID = 11
@@ -152,46 +153,58 @@ def check_samples(samples: int) -> None:
         raise DataError(f"samples must be ≥ 1, got {samples}")
 
 
+def _permutations(n: int, samples: int, seed: int, without_replacement=False) -> np.ndarray:
+    """A (samples, n) array of uniform random permutations of range(n), drawn
+    from default_rng(seed); with `without_replacement`, distinct ones."""
+    check_samples(samples)
+    rng = np.random.default_rng(seed)
+    if not without_replacement:
+        return np.array([rng.permutation(n) for _ in range(samples)])
+    if n > _EXHAUSTIVE_ARITY_CAP:
+        raise DataError(f"without_replacement is supported for n ≤ {_EXHAUSTIVE_ARITY_CAP}")
+    universe = np.array(list(itertools.permutations(range(n))))
+    if samples > len(universe):
+        raise DataError(f"cannot draw {samples} distinct permutations of {n} features")
+    return universe[rng.permutation(len(universe))[:samples]]
+
+
 def _mean_marginals(
-    spec: GameSpec, grid: np.ndarray | None, draws: list[list], rows
+    spec: GameSpec, grid: np.ndarray | None, perms: np.ndarray
 ) -> tuple[PayoffEngine, np.ndarray, np.ndarray]:
     """The payoff engine of a sampled estimate; each feature's marginal payoff
-    averaged over the permutations of each draw, shape (n, len(draws)), read
-    from payoff row `rows[j]` for draw j; and the grand coalition's payoffs.
+    averaged over the (samples, n) permutations `perms`, one column per payoff
+    row, shape (n, 1 + abscissae); and the grand coalition's payoffs.
 
     One `payoffs` call scores the distinct prefix coalitions of all the
-    permutations, the last of which is always the grand coalition.  Masks
-    stay Python ints, so any number of features fits, and each feature's
-    marginals are added permutation by permutation.
+    permutations in ascending mask order, so the last is the grand coalition;
+    masks of 64 or more features stay Python ints.  The prefix payoffs, at
+    most SOLVE_FLOATS at a time and from the empty coalition's 0.0 on, are
+    differenced along each permutation and added to their features in
+    permutation order by `np.add.at`.
     """
-    if spec.n == 0:
+    n = spec.n
+    if n == 0:
         raise DataError("cannot attribute a game with no features")
     engine = PayoffEngine(spec, grid)
-    column = {mask: c for c, mask in enumerate(sorted({
-        mask for perm in itertools.chain.from_iterable(draws)
-        for mask in itertools.accumulate(1 << i for i in perm)
-    }))}
-    payoffs = engine.payoffs(list(column))
-    values = np.zeros((spec.n, len(draws)))
-    for j, (perms, row) in enumerate(zip(draws, rows)):
-        readout = payoffs[row].tolist()
-        for perm in perms:
-            mask, previous = 0, 0.0
-            for i in perm:
-                mask |= 1 << i
-                value = readout[column[mask]]
-                values[i, j] += value - previous
-                previous = value
-        values[:, j] /= len(perms)
-    return engine, values, payoffs[:, column[(1 << spec.n) - 1]]
+    # Each permutation's n + 1 prefix masks, from the empty coalition on.
+    masks = np.zeros((len(perms), n + 1), np.int64 if n < 64 else object)
+    np.cumsum(np.ones_like(perms, masks.dtype) << perms, axis=1, out=masks[:, 1:])
+    # The distinct masks, ascending; each prefix's column among them.
+    masks, columns = np.unique(masks, return_inverse=True)
+    payoffs = engine.payoffs(masks.tolist())
+    columns = columns.reshape(len(perms), n + 1)
+    sums = np.zeros((len(payoffs), n))
+    step = max(1, SOLVE_FLOATS // (len(payoffs) * (n + 1)))
+    for start in range(0, len(perms), step):
+        gains = np.diff(payoffs[:, columns[start:start + step]], axis=2)
+        np.add.at(sums, (slice(None), perms[start:start + step].ravel()),
+                  gains.reshape(len(payoffs), -1))
+        del gains       # before the next chunk is gathered
+    return engine, sums.T / len(perms), payoffs[:, -1]
 
 
 def shapley_sampled(
-    spec: GameSpec,
-    samples: int,
-    seed: int,
-    *,
-    without_replacement: bool = False,
+    spec: GameSpec, samples: int, seed: int, *, without_replacement: bool = False
 ) -> Attribution:
     """Permutation-sampling estimate of the Shapley values of `spec`'s game.
 
@@ -201,29 +214,12 @@ def shapley_sampled(
     permutations are distinct; sampling all n! of them reproduces the exact
     values.
     """
-    check_samples(samples)
-    n = spec.n
-    rng = np.random.default_rng(seed)
-    if without_replacement:
-        if n > _EXHAUSTIVE_ARITY_CAP:
-            raise DataError(
-                f"without_replacement is supported for n ≤ {_EXHAUSTIVE_ARITY_CAP}"
-            )
-        universe = list(itertools.permutations(range(n)))
-        if samples > len(universe):
-            raise DataError(
-                f"cannot draw {samples} distinct permutations of {n} features"
-            )
-        order = rng.permutation(len(universe))[:samples]
-        perms = [universe[k] for k in order]
-    else:
-        perms = [rng.permutation(n).tolist() for _ in range(samples)]
-
+    perms = _permutations(spec.n, samples, seed, without_replacement)
     # The target's own payoff is the last row.
-    _, values, full = _mean_marginals(spec, None, [perms], [-1])
+    _, values, full = _mean_marginals(spec, None, perms)
     baseline = spec.target.baseline()
     return Attribution(
-        spec.train.feature_names, values[:, 0], baseline, baseline + full[-1], spec.target
+        spec.train.feature_names, values[:, -1], baseline, baseline + full[-1], spec.target
     )
 
 
@@ -232,21 +228,18 @@ def shapley_sampled_curve(
 ) -> CurveAttribution:
     """Permutation-sampling analogue of evaluate_slices + shapley_curve.
 
-    Point k draws its permutations from seed + k.  One payoff engine, bound
-    to the grid, scores the coalitions that any point's permutations visit,
-    each once, before any marginal is read.
+    Every grid point reads its marginals from one draw of `samples`
+    permutations, the draw `shapley_sampled` takes with the same seed, so
+    point k is `shapley_sampled` of the slice game at grid[k], bit for bit;
+    the points' sampling errors are correlated.  One payoff engine, bound to
+    the grid, scores the coalitions the draw visits, each once.
     """
-    check_samples(samples)
+    perms = _permutations(spec.n, samples, seed)
     grid = check_grid(grid)
-    draws = []
-    for k in range(grid.size):
-        rng = np.random.default_rng(seed + k)
-        draws.append([rng.permutation(spec.n).tolist() for _ in range(samples)])
-    engine, values, full = _mean_marginals(spec, grid, draws, range(1, 1 + grid.size))
-    reference = engine.baselines + full[1:]
+    engine, values, full = _mean_marginals(spec, grid, perms)
     return CurveAttribution(
-        spec.train.feature_names, grid, values, reference, engine.baselines,
-        spec.target.kind,
+        spec.train.feature_names, grid, values[:, 1:], engine.baselines + full[1:],
+        engine.baselines, spec.target.kind,
     )
 
 
@@ -275,11 +268,16 @@ def shapley_curve(tables: list[PayoffTable]) -> CurveAttribution:
 def auc_roc_consistency(
     area_attr: Attribution, curve_attr: CurveAttribution
 ) -> np.ndarray:
-    """|∫φ_i^ROC dfpr − φ_i^AUC| per feature.
+    """|∫φ_i^ROC dfpr − φ_i^AUC| per feature, or |∫φ_i^PR drecall − φ_i^AUPRC|.
 
-    The per-slice attributions, integrated over FPR, should reproduce the
-    area attributions up to grid and estimation error.
+    The per-slice attributions, integrated over their abscissa, should
+    reproduce the area attributions up to grid and estimation error.  Only
+    the matched pairs, AUC with ROC slices and AUPRC with PRC slices, are
+    accepted: any other pair raises DataError.
     """
+    pair = (area_attr.target.kind, curve_attr.kind)
+    if pair not in ((AUC, ROC_SLICE), (AUPRC, PRC_SLICE)):
+        raise DataError(f"{pair[0]} attributions do not integrate {pair[1]} curves")
     if area_attr.feature_names != curve_attr.feature_names:
         raise DataError("attributions disagree on features")
     if curve_attr.abscissae.size < MIN_CONSISTENCY_GRID:

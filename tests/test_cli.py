@@ -213,6 +213,23 @@ class TestExplainRoc:
         assert len(lines) == 12
 
 
+@pytest.mark.parametrize("command, flag", [("explain-roc", "fpr"), ("explain-prc", "recall")])
+def test_sampled_slice_equals_its_grid_point(command, flag, tmp_path):
+    """The slice attribution at a grid point and the curve's row there read
+    one permutation draw, so they print the same φ."""
+    out = tmp_path / "run"
+    assert run([
+        command, "--data", BANKNOTE, "--label-column", "class", "--out", str(out),
+        "--sampled", "12", "--grid-size", "11", f"--{flag}", "0.5", "--seed", "3",
+    ]) == 0
+    header, *rows = (out / "contributions.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), next(r for r in rows if r.startswith("0.5,")).split(",")))
+    lines = (out / f"attribution_{flag}.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[0]: line.split(",")[1] for line in lines} == {
+        name: row[name] for name in ("variance", "skewness", "kurtosis", "entropy")
+    }
+
+
 class TestExplainPrcAndAuprc:
     def test_balanced_auprc_efficiency(self, tmp_path):
         out = tmp_path / "run"

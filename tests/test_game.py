@@ -82,6 +82,14 @@ class TestTarget:
         with pytest.raises(errors.DataError):
             Target("f1")
 
+    def test_describe(self):
+        assert Target.auc().describe() == "AUC"
+        assert Target.roc_slice(0.25).describe() == "TPR at FPR=0.25"
+        assert Target.prc_slice(0.5).describe() == "precision at recall=0.5"
+        # A slice target without an abscissa names its whole grid.
+        assert Target(ROC_SLICE).describe() == "TPR over FPR grid"
+        assert Target(PRC_SLICE).describe() == "precision over recall grid"
+
     def test_with_abscissa(self):
         t = Target.roc_slice(0.1).with_abscissa(0.6)
         assert t.abscissa == 0.6
@@ -570,15 +578,30 @@ def test_sampled_curve_prefill_equals_one_mask_at_a_time(seed):
     spec = GameSpec(target, train, test, Strategy.PESSIMISTIC, fit=fit)
     ca = shapley_sampled_curve(spec, grid, samples=10, seed=seed)
     reference = PayoffEngine(GameSpec(target, train, test, Strategy.PESSIMISTIC), grid)
-    visited = set()
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(spec.n) for _ in range(10)]
     for k in range(grid.size):
-        rng = np.random.default_rng(seed + k)
-        perms = [rng.permutation(spec.n) for _ in range(10)]
         np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, 1 + k))
-        visited |= prefix_masks(perms)
     full = reference.payoffs([(1 << spec.n) - 1])[1:, 0]
     np.testing.assert_array_equal(ca.reference, grid + full)
-    assert scorers[0].coalitions == len(visited)
+    assert scorers[0].coalitions == len(prefix_masks(perms))
+
+
+@pytest.mark.parametrize("size", [2, 11, 101])
+def test_sampled_curve_scores_only_the_draws_coalitions(size):
+    """Every grid point reads the one draw, so a curve scores the draw's
+    distinct prefix coalitions, whatever the grid's size."""
+    train, test = coalition_split(4, [("normal", 0)] * 9)
+    scorers = []
+
+    def fit(d):
+        scorers.append(CountingScorer(d))
+        return scorers[-1]
+
+    spec = GameSpec(Target(PRC_SLICE), train, test, Strategy.INTERPOLATION, fit=fit)
+    shapley_sampled_curve(spec, default_grid(size), samples=12, seed=5)
+    rng = np.random.default_rng(5)
+    assert scorers[0].coalitions == len(prefix_masks(rng.permutation(9) for _ in range(12)))
 
 
 def test_sampled_curve_scores_each_coalition_size_in_one_call(monkeypatch):
@@ -618,9 +641,9 @@ def test_sampled_modes_take_more_than_63_features():
     slices = GameSpec(target, train, test, Strategy.INTERPOLATION)
     ca = shapley_sampled_curve(slices, grid, samples=3, seed=2)
     reference = PayoffEngine(slices, grid)
+    rng = np.random.default_rng(2)
+    perms = [rng.permutation(70) for _ in range(3)]
     for k in range(grid.size):
-        rng = np.random.default_rng(2 + k)
-        perms = [rng.permutation(70) for _ in range(3)]
         np.testing.assert_array_equal(ca.values[:, k], one_mask_at_a_time(reference, perms, 1 + k))
     np.testing.assert_array_equal(ca.reference, grid + reference.payoffs([full])[1:, 0])
 

@@ -10,6 +10,7 @@ import curveshap as cs
 from curveshap import errors
 from curveshap.curves import Strategy, default_grid
 from curveshap.game import (
+    PRC_SLICE,
     ROC_SLICE,
     GameSpec,
     PayoffTable,
@@ -217,17 +218,18 @@ class TestCurve:
     @pytest.mark.parametrize("kind", ["roc_slice", "prc_slice"])
     def test_sampled_curve_matches_scalar_path(self, banknote_split, kind):
         """Grid point k of the sampled curve is the scalar sampled game at
-        grid[k] with seed + k, to the last bit."""
+        grid[k] with the same seed, to the last bit, under every strategy."""
         train, test = banknote_split
-        spec = GameSpec(Target(kind), train, test, strategy=Strategy.PESSIMISTIC)
         grid = np.linspace(0.0, 1.0, 6)
         seed = 7
-        curve = shapley_sampled_curve(spec, grid, samples=15, seed=seed)
-        for k, q in enumerate(grid):
-            point = GameSpec(Target(kind, float(q)), train, test, spec.strategy)
-            attr = shapley_sampled(point, samples=15, seed=seed + k)
-            np.testing.assert_array_equal(curve.values[:, k], attr.values)
-            assert curve.reference[k] == attr.total
+        for strategy in Strategy:
+            spec = GameSpec(Target(kind), train, test, strategy=strategy)
+            curve = shapley_sampled_curve(spec, grid, samples=15, seed=seed)
+            for k, q in enumerate(grid):
+                point = GameSpec(Target(kind, float(q)), train, test, strategy)
+                attr = shapley_sampled(point, samples=15, seed=seed)
+                np.testing.assert_array_equal(curve.values[:, k], attr.values)
+                assert curve.reference[k] == attr.total
 
 
 class TestConsistency:
@@ -267,6 +269,28 @@ class TestConsistency:
             "roc_slice",
         )
         np.testing.assert_array_equal(auc_roc_consistency(area, curve), [0.0])
+
+    def test_matched_pr_pair_is_consistent(self, banknote_split):
+        """AUPRC attributions are the recall integral of PRC-slice ones:
+        ∫(precision − 0.5) drecall = AUPRC − 0.5."""
+        train, test = banknote_split
+        area = shapley_exact(evaluate_all(GameSpec(Target.auprc(), train, test)))
+        spec = GameSpec(Target(PRC_SLICE), train, test, Strategy.INTERPOLATION)
+        curve = shapley_curve(evaluate_slices(spec, default_grid()))
+        assert (auc_roc_consistency(area, curve) <= 1e-3).all()
+
+    @pytest.mark.parametrize("area_kind, curve_kind", [
+        ("auc", PRC_SLICE), ("auprc", ROC_SLICE),
+    ])
+    def test_mismatched_curve_family_rejected(self, banknote_split, area_kind, curve_kind):
+        """An area and a curve of different families are not an identity:
+        AUC against PRC slices gives gaps of 0.01-0.03 that mean nothing."""
+        train, test = banknote_split
+        area = shapley_exact(evaluate_all(GameSpec(Target(area_kind), train, test)))
+        spec = GameSpec(Target(curve_kind), train, test, Strategy.INTERPOLATION)
+        curve = shapley_curve(evaluate_slices(spec, default_grid()))
+        with pytest.raises(errors.DataError, match="do not integrate"):
+            auc_roc_consistency(area, curve)
 
     def test_grid_too_coarse(self, banknote_split):
         train, test = banknote_split
@@ -347,6 +371,37 @@ def test_shapley_map_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * shapley.SOLVE_FLOATS * 8 < matrix.nbytes
+
+
+def test_sampled_reader_memory_is_bounded_by_the_chunk(banknote_split):
+    """Reading 2,000 permutations at every point of the 101-point grid peaks,
+    beyond the payoff matrix, at a few chunks of SOLVE_FLOATS payoffs, well
+    below the 13 MB of gathered prefix payoffs and gains that one gather of
+    all (2,000 × 4 × 102) would hold."""
+    train, test = banknote_split
+    spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION)
+    perms = shapley._permutations(spec.n, 2000, 0)
+    tracemalloc.start()
+    try:
+        _, values, full = shapley._mean_marginals(spec, default_grid(), perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = values.shape[1] * (1 << spec.n) * 8     # at most every coalition's row
+    assert peak - matrix < 4 * shapley.SOLVE_FLOATS * 8 < 2 * 2000 * spec.n * 102 * 8
+
+
+def test_sampled_reads_in_chunks_keep_their_bits(banknote_split, monkeypatch):
+    """Reading the draw a few permutations at a time adds each feature's
+    marginals in the same order as reading it at once."""
+    train, test = banknote_split
+    spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.PESSIMISTIC)
+    grid = np.linspace(0.0, 1.0, 6)
+    whole = shapley_sampled_curve(spec, grid, samples=25, seed=1)
+    # 7 payoff rows (the area and 6 slices) of 5 prefixes: 3 permutations a chunk.
+    monkeypatch.setattr(shapley, "SOLVE_FLOATS", 3 * 7 * 5)
+    chunked = shapley_sampled_curve(spec, grid, samples=25, seed=1)
+    np.testing.assert_array_equal(chunked.values, whole.values)
 
 
 def test_curve_attributions_leave_the_callers_grid_writable(banknote):

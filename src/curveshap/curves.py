@@ -1,9 +1,11 @@
 """ROC and precision-recall curves, their areas, and point estimation.
 
 Curves are built by a descending threshold sweep with tied scores collapsed
-into a single step.  `roc_batch` / `pr_batch` sweep every row of an (M, rows)
-score array against 0/1 labels at once into one `CurveBatch`.  A sweep ranks
-each row's labels once, highest score first, and derives the rest from that:
+into a single step.  `sweeper` checks a label vector once and returns the
+sweep of every row of an (M, rows) score array against it into one
+`CurveBatch`, so a game checks its test labels once, not once per sweep;
+`roc_batch` / `pr_batch` are its one-call form.  A sweep ranks each row's
+labels once, highest score first, and derives the rest from that:
 
 - Ranking.  When every score of the batch is ≥ 0, as every posterior is, one
   `np.sort` per row of uint64 keys (score bits << 1) | label ranks them; the
@@ -46,6 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -293,25 +296,28 @@ def _batch(scores, labels, n_pos: int, n_neg: int, roc: bool) -> CurveBatch:
     return CurveBatch(ranked, tied, tied_points, n_pos, n_neg, roc, areas)
 
 
-def _class_sizes(labels) -> tuple:
-    """`labels` as an array, and its numbers of positives (1) and negatives
-    (0); any other label is a DataError."""
+def sweeper(labels, roc: bool) -> Callable[[np.ndarray], CurveBatch]:
+    """Check `labels` once and return the sweep of (M, rows) score arrays
+    against them into ROC (`roc`) or PR curves.  Labels other than 0 and 1
+    are a DataError; ROC curves need both classes (SingleClassLabels), PR
+    curves a positive (NoPositiveLabels)."""
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos + n_neg != labels.size:
         bad = labels[(labels != 0) & (labels != 1)][0]
         raise DataError(f"labels must be 0 or 1, got {bad.item()!r}")
-    return labels, n_pos, n_neg
+    if roc and (n_pos == 0 or n_neg == 0):
+        raise SingleClassLabels("ROC curve needs both label classes")
+    if n_pos == 0:
+        raise NoPositiveLabels("PR curve needs at least one positive label")
+    return lambda scores: _batch(scores, labels, n_pos, n_neg, roc)
 
 
 def roc_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
     """Threshold-sweep ROC curves, with endpoints (0,0) and (1,1), of every
     row of `scores` (M, rows) against the same 0/1 `labels`."""
-    labels, n_pos, n_neg = _class_sizes(labels)
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClassLabels("ROC curve needs both label classes")
-    return _batch(scores, labels, n_pos, n_neg, roc=True)
+    return sweeper(labels, roc=True)(scores)
 
 
 def pr_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
@@ -321,10 +327,7 @@ def pr_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
     The left endpoint (0, precision of the highest-score step) is prepended
     as a convention; precision at recall 0 is otherwise undefined.
     """
-    labels, n_pos, n_neg = _class_sizes(labels)
-    if n_pos == 0:
-        raise NoPositiveLabels("PR curve needs at least one positive label")
-    return _batch(scores, labels, n_pos, n_neg, roc=False)
+    return sweeper(labels, roc=False)(scores)
 
 
 def roc_curves(scores: np.ndarray, labels: np.ndarray) -> list[RocCurve]:

@@ -16,15 +16,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .curves import Strategy, check_grid, pr_batch, roc_batch
+from .curves import Strategy, check_grid, sweeper
 from .dataset import Dataset
-from .errors import (
-    DataError,
-    IncompleteTable,
-    NoPositiveLabels,
-    SingleClassLabels,
-    TooManyFeaturesForExactMode,
-)
+from .errors import DataError, IncompleteTable, TooManyFeaturesForExactMode
 from .model import train_gnb
 
 EXACT_MODE_CAP = 20
@@ -58,7 +52,7 @@ _ROC_KINDS = (AUC, ROC_SLICE)
 
 
 class DegenerateCurveWarning(UserWarning):
-    """A coalition's scores admit no valid curve; its payoff fell back to 0."""
+    """A coalition's scores are not all finite; its payoff fell back to 0."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ class PayoffEngine:
     A coalition's payoff column is its area payoff (AUC − 0.5 or AUPRC − 0.5,
     of the target's curve family), then its payoffs at the slice `abscissae`
     the engine is bound to: none for an area target, the target's own, or a
-    grid; it is zero if the scores admit no curve.  `payoffs` scores the given
+    grid; it is zero if its scores are not all finite.  `payoffs` scores the given
     coalitions in chunks of one size, one `score` call each, and sweeps
     consecutive chunks together into one `CurveBatch`, whose areas and
     operating points give the payoffs of all its rows at once; nothing is
@@ -224,7 +218,8 @@ class PayoffEngine:
         roc = target.kind in _ROC_KINDS
         # Random-classifier value of the metric at each slice abscissa.
         self.baselines = self.abscissae if roc else np.full(self.abscissae.size, 0.5)
-        self._sweep = roc_batch if roc else pr_batch
+        # The test labels are checked once, here, for every sweep.
+        self._sweep = sweeper(spec.test.labels, roc)
         self.spec = spec
         self.scorer = spec.fit(spec.train)
         self.trainings = 0      # coalitions scored
@@ -286,7 +281,7 @@ class PayoffEngine:
         """The (M, 1 + abscissae) payoff rows of M coalitions, scored in
         consecutive chunks of the given lengths, each of one size, and swept
         together; a zero row, with one DegenerateCurveWarning each, where the
-        scores admit no curve."""
+        scores are not all finite."""
         spec, slices = self.spec, self.abscissae
         # Masks are Python ints of any width: unpack them bytewise, not as int64.
         width = (spec.n + 7) // 8
@@ -303,20 +298,15 @@ class PayoffEngine:
             start += size
         self.trainings += len(masks)
         finite = np.isfinite(scores).all(axis=1)
-        reasons = dict.fromkeys(np.flatnonzero(~finite).tolist(),
-                                "scores contain non-finite values")
+        curves = self._sweep(scores)
         rows = np.zeros((len(masks), 1 + slices.size))
-        try:
-            curves = self._sweep(scores, spec.test.labels)
-        except (SingleClassLabels, NoPositiveLabels) as exc:
-            reasons.update(dict.fromkeys(np.flatnonzero(finite).tolist(), str(exc)))
-        else:
-            rows[finite, 0] = curves.areas[finite] - 0.5
-            if slices.size:
-                rows[finite, 1:] = curves.estimate(slices, spec.strategy)[finite] - self.baselines
-        for i in sorted(reasons):
+        rows[finite, 0] = curves.areas[finite] - 0.5
+        if slices.size:
+            rows[finite, 1:] = curves.estimate(slices, spec.strategy)[finite] - self.baselines
+        for i in np.flatnonzero(~finite).tolist():
             warnings.warn(
-                f"coalition {masks[i]:#x} has no valid curve ({reasons[i]}); payoff set to 0",
+                f"coalition {masks[i]:#x} has no valid curve "
+                "(scores contain non-finite values); payoff set to 0",
                 DegenerateCurveWarning,
                 stacklevel=4,
             )

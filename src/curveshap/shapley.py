@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .curves import check_grid, trapezoid
+from .curves import trapezoid
 from .errors import DataError, GridTooCoarse
 from .game import AUC, AUPRC, PRC_SLICE, ROC_SLICE, GameSpec, PayoffEngine, PayoffTable, Target
 
@@ -235,10 +235,9 @@ def shapley_sampled_curve(
     the grid, scores the coalitions the draw visits, each once.
     """
     perms = _permutations(spec.n, samples, seed)
-    grid = check_grid(grid)
     engine, values, full = _mean_marginals(spec, grid, perms)
     return CurveAttribution(
-        spec.train.feature_names, grid, values[:, 1:], engine.baselines + full[1:],
+        spec.train.feature_names, engine.abscissae, values[:, 1:], engine.baselines + full[1:],
         engine.baselines, spec.target.kind,
     )
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Strategy, check_grid, default_grid, pr_batch, roc_batch
+from .curves import Strategy, check_grid, default_grid, sweeper
 from .dataset import Dataset, SplitSpec, split
 from .errors import DataError
 from .game import _ROC_KINDS, GameSpec, Target
@@ -145,7 +145,6 @@ def mc_bands(
     """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
-    sweep = roc_batch if kind == "roc" else pr_batch
     games = {}      # curve family → game; slice targets come last and win
     for target in sorted(targets, key=lambda t: t.is_slice):
         games[target.kind in _ROC_KINDS] = Target(target.kind)
@@ -161,7 +160,7 @@ def mc_bands(
         # are freed before the next split builds its own.
         train, test = split(d, cfg.split_spec(k))
         model = train_gnb(train)
-        curve = sweep(model.score(test)[np.newaxis], test.labels)
+        curve = sweeper(test.labels, kind == "roc")(model.score(test)[np.newaxis])
         rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
         solved = {}
         for family, target in games.items():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curveshap as cs
-from curveshap import errors
+from curveshap import curves, errors
 from curveshap import game
 from curveshap.curves import (
     Strategy,
@@ -515,15 +515,14 @@ class RecordingScorer(CountingScorer):
 
 
 def count_sweeps(monkeypatch):
-    """The number of rows of each curve sweep the engines built from now on
-    make, in order."""
+    """The number of rows of each curve sweep made from now on, in order."""
     rows = []
-    for name in ("roc_batch", "pr_batch"):
-        def counted(scores, labels, sweep=getattr(game, name)):
-            rows.append(len(scores))
-            return sweep(scores, labels)
 
-        monkeypatch.setattr(game, name, counted)
+    def counted(scores, *args, sweep=curves._batch):
+        rows.append(len(scores))
+        return sweep(scores, *args)
+
+    monkeypatch.setattr(curves, "_batch", counted)
     return rows
 
 
@@ -769,21 +768,42 @@ def test_one_warning_per_degenerate_coalition(banknote_split, batch_floats, monk
         lambda: evaluate_slices(grid, np.linspace(0.0, 1.0, 5)))) == with_variance
 
 
-@pytest.mark.parametrize("target", [Target.auc(), Target.auprc()], ids=["auc", "auprc"])
-def test_single_class_test_set_makes_every_coalition_degenerate(banknote_split, target):
-    """Dataset refuses one label class, so the test set is forced to one."""
+@pytest.mark.parametrize("target, error", [
+    (Target.auc(), errors.SingleClassLabels), (Target.auprc(), errors.NoPositiveLabels),
+], ids=["auc", "auprc"])
+def test_single_class_test_set_is_refused_when_the_engine_is_built(banknote_split, target,
+                                                                    error):
+    """Dataset refuses one label class, so the test set is forced to one.  The
+    engine checks the labels when it is built, before it fits a model."""
     train, test = banknote_split
     negatives = cs.Dataset(test.features, test.labels, test.feature_names)
     object.__setattr__(negatives, "labels", np.zeros_like(test.labels))
-    spec = GameSpec(target, train, negatives)
-    table = None
+    fits = []
+    with pytest.raises(error):
+        evaluate_all(GameSpec(target, train, negatives, fit=fits.append))
+    assert fits == []
 
-    def run():
-        nonlocal table
-        table = evaluate_all(spec)
 
-    assert sorted(degenerate_masks(run)) == list(range(1, 16))
-    np.testing.assert_array_equal(table.values, np.zeros(16))
+def test_exact_game_checks_its_test_labels_once(banknote, monkeypatch):
+    """Every label check reads `test.labels`.  An exact AUC game at n = 12
+    makes 219 sweeps and reads the labels once, when its engine is built."""
+    train, test = banknote_with_noise(banknote, 8)
+    reads = []
+
+    class CountingReads(cs.Dataset):
+        def __getattribute__(self, name):
+            if name == "labels":
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    counted = CountingReads(test.features, test.labels, test.feature_names)
+    reads.clear()       # the reads that checked the dataset itself
+    sweeps = count_sweeps(monkeypatch)
+    table = evaluate_all(GameSpec(Target.auc(), train, counted))
+    assert len(sweeps) == 219
+    assert len(reads) == 1
+    np.testing.assert_array_equal(table.values,
+                                  evaluate_all(GameSpec(Target.auc(), train, test)).values)
 
 
 @pytest.mark.parametrize("kind", [AUC, AUPRC, ROC_SLICE, PRC_SLICE])

@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, NoPositiveLabels, SingleClassLabels
+from .errors import DataError, NoPositiveLabels, SingleClassLabels, allocation
 
 DEFAULT_GRID_SIZE = 101
 
@@ -162,11 +162,15 @@ class CurveBatch:
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray):
-    """Trapezoidal integral of y over x (x ascending) along the last axis: a
-    float for 1-D inputs, one area per row for stacked ones."""
+    """Trapezoidal integral of y over x (x ascending) along the last axis, its
+    terms added in point order from 0.0 as a swept area's are: a float for
+    1-D inputs, one area per row for stacked ones."""
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    area = 0.5 * np.sum((x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1]), axis=-1)
+    # A leading 0.0 starts each sum, and is the area of a single point.
+    terms = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    terms[..., 1:] = (x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1])
+    area = _in_order_area(terms.reshape(-1, terms.shape[-1])).reshape(terms.shape[:-1])
     return float(area) if area.ndim == 0 else area
 
 
@@ -175,10 +179,8 @@ def default_grid(size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     is a DataError."""
     if size < 2:
         raise DataError(f"grid needs at least 2 points, got {size}")
-    try:
+    with allocation(f"a grid of {size} points"):
         return np.linspace(0.0, 1.0, size)
-    except (MemoryError, ValueError) as exc:   # ValueError: "array is too big"
-        raise DataError(f"cannot allocate a grid of {size} points: {exc}") from None
 
 
 def check_grid(grid) -> np.ndarray:

@@ -5,6 +5,8 @@ Two broad families matter to callers: problems with the input data
 (:class:`ComputationError`).  The CLI maps them to distinct exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class CurveshapError(Exception):
     """Base class for every error raised by this package."""
@@ -16,6 +18,17 @@ class DataError(CurveshapError):
 
 class ComputationError(CurveshapError):
     """A computation cannot proceed on otherwise valid inputs."""
+
+
+@contextmanager
+def allocation(what: str):
+    """Report numpy's refusal to allocate `what` as a DataError: a
+    MemoryError, or a ValueError ("array is too big") past numpy's size
+    limit.  Wrap only the allocation."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise DataError(f"cannot allocate {what}: {exc}") from None
 
 
 # --- dataset -----------------------------------------------------------

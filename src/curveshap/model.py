@@ -96,8 +96,13 @@ def train_gnb(train: Dataset) -> TrainedModel:
     columns = np.ascontiguousarray(train.features.T)
     by_class = [np.ascontiguousarray(columns[:, labels == c]) for c in (0, 1)]
     means = np.stack([x.mean(axis=1) for x in by_class])
-    variances = np.stack([x.var(axis=1) for x in by_class])
-    return TrainedModel(priors, means, variances, columns.var(axis=1))
+    # Finite values can square past the float64 range.  Such a column's
+    # variance is inf and its coalitions score non-finite, which each game
+    # reports as a degenerate coalition; numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = np.stack([x.var(axis=1) for x in by_class])
+        column_variances = columns.var(axis=1)
+    return TrainedModel(priors, means, variances, column_variances)
 
 
 def _smoothing(column_variances: np.ndarray) -> np.ndarray:
@@ -141,8 +146,9 @@ def _term_tables(m: TrainedModel, test: Dataset) -> tuple[np.ndarray, np.ndarray
     np.take(test.features.T, column, axis=0, out=terms[0], mode="clip")
     terms[1] = terms[0]
     terms -= m.means[:, column, np.newaxis]
-    np.square(terms, out=terms)
-    terms /= variances[..., np.newaxis]
+    with np.errstate(over="ignore", invalid="ignore"):   # see train_gnb
+        np.square(terms, out=terms)
+        terms /= variances[..., np.newaxis]
     terms += log_norms[..., np.newaxis]
     terms *= -0.5
     return np.argsort(order), terms
@@ -208,5 +214,6 @@ def score(
         del block
         log_joint[c] += np.log(m.priors[c])
     # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), evaluated stably.
-    scores = np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))
+    with np.errstate(over="ignore", invalid="ignore"):   # see train_gnb
+        scores = np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))
     return scores if batch else scores[0]

@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .curves import trapezoid
-from .errors import DataError, GridTooCoarse
+from .errors import DataError, GridTooCoarse, allocation
 from .game import AUC, AUPRC, PRC_SLICE, ROC_SLICE, GameSpec, PayoffEngine, PayoffTable, Target
 
 EFFICIENCY_TOL = 1e-9
@@ -155,11 +155,17 @@ def check_samples(samples: int) -> None:
 
 def _permutations(n: int, samples: int, seed: int, without_replacement=False) -> np.ndarray:
     """A (samples, n) array of uniform random permutations of range(n), drawn
-    from default_rng(seed); with `without_replacement`, distinct ones."""
+    from default_rng(seed); with `without_replacement`, distinct ones.  The
+    array is allocated before the first draw: a count numpy cannot allocate
+    is a DataError."""
     check_samples(samples)
     rng = np.random.default_rng(seed)
     if not without_replacement:
-        return np.array([rng.permutation(n) for _ in range(samples)])
+        with allocation(f"{samples} permutations"):
+            perms = np.empty((samples, n), np.int64)
+        for row in perms:
+            row[...] = rng.permutation(n)
+        return perms
     if n > _EXHAUSTIVE_ARITY_CAP:
         raise DataError(f"without_replacement is supported for n ≤ {_EXHAUSTIVE_ARITY_CAP}")
     universe = np.array(list(itertools.permutations(range(n))))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import Strategy, check_grid, default_grid, sweeper
 from .dataset import Dataset, SplitSpec, split
-from .errors import DataError
+from .errors import DataError, allocation
 from .game import _ROC_KINDS, GameSpec, Target
 from .model import train_gnb
 from .shapley import Attribution, CurveAttribution, _shapley_map
@@ -149,11 +149,12 @@ def mc_bands(
     for target in sorted(targets, key=lambda t: t.is_slice):
         games[target.kind in _ROC_KINDS] = Target(target.kind)
     n, grid = d.n_features, cfg.grid
-    rows = np.empty((cfg.iterations, grid.size))
-    # Per iteration: φ per feature and grid point for a slice target, φ per
-    # feature and then the achieved total for an area target.
-    stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
-                       else (cfg.iterations, n + 1)) for t in targets]
+    with allocation(f"{cfg.iterations} iterations"):
+        rows = np.empty((cfg.iterations, grid.size))
+        # Per iteration: φ per feature and grid point for a slice target, φ
+        # per feature and then the achieved total for an area target.
+        stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
+                           else (cfg.iterations, n + 1)) for t in targets]
 
     def iterate(k: int) -> None:
         # A function of its own, so this split's model, term tables and games

@@ -513,6 +513,26 @@ def test_out_of_range_flag_rejected(command, key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    # Petabytes: 10^14 iterations × 101 grid points and 10^15 permutations ×
+    # 4 features lie beyond the 128 TiB user address space, so numpy raises
+    # MemoryError without allocating anything; 10^18 permutations raise
+    # ValueError ("array is too big").
+    ("uncertainty", "--iterations", 10 ** 14),
+    ("explain-auc", "--sampled", 10 ** 15),
+    ("explain-roc", "--sampled", 10 ** 18),
+])
+def test_count_too_large_to_allocate_is_a_data_error(command, flag, value, tmp_path, capsys):
+    """Exit 3 with one JSON record, before any permutation is drawn."""
+    out = tmp_path / "run"
+    assert run([command, "--data", BANKNOTE, "--label-column", "class",
+                "--out", str(out), f"{flag}={value}"]) == 3
+    record = only_error(capsys)
+    assert record["error"] == "DataError"
+    assert record["message"].startswith(f"cannot allocate {value} ")
+    assert not out.exists()
+
+
 def banknote_with_header(tmp_path, header):
     """Banknote's rows under another header line."""
     rows = cs.banknote_path().read_text().splitlines()[1:]

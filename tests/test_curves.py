@@ -414,3 +414,19 @@ def test_areas_are_in_order_trapezoids_of_their_points(seed):
         curves = batch(scores, labels)
         for x, y, area in curves.rows():
             assert area == 0.5 * float(in_order_sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
+
+
+def test_trapezoid_adds_its_terms_in_point_order():
+    """Every area, of a 1-D curve or of each stacked row, is its trapezoid
+    terms added in point order from 0.0, bit for bit; numpy's pairwise
+    `np.sum` differs from that on most random 101-point rows."""
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.random(101))
+    y = rng.standard_normal((200, 101))
+    want = 0.5 * in_order_sum((x[1:] - x[:-1]) * (y[:, 1:] + y[:, :-1]))
+    got = trapezoid(y, x)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert [trapezoid(row, x) for row in y] == want.tolist()
+    assert trapezoid(y.reshape(20, 10, 101), x).shape == (20, 10)
+    assert trapezoid([0.3], [0.5]) == 0.0
+    assert isinstance(trapezoid([0.3], [0.5]), float)

@@ -167,9 +167,9 @@ def trapezoid(y: np.ndarray, x: np.ndarray):
     1-D inputs, one area per row for stacked ones."""
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    # A leading 0.0 starts each sum, and is the area of a single point.
-    terms = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    terms[..., 1:] = (x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1])
+    terms = (x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1])
+    # A leading 0.0 starts each sum; it is the whole area of a curve of one point.
+    terms = np.concatenate([np.zeros(terms.shape[:-1] + (1,)), terms], axis=-1)
     area = _in_order_area(terms.reshape(-1, terms.shape[-1])).reshape(terms.shape[:-1])
     return float(area) if area.ndim == 0 else area
 

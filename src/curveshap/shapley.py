@@ -159,6 +159,8 @@ def _permutations(n: int, samples: int, seed: int, without_replacement=False) ->
     array is allocated before the first draw: a count numpy cannot allocate
     is a DataError."""
     check_samples(samples)
+    if n == 0:      # else any number of empty rows would be drawn first
+        raise DataError("cannot attribute a game with no features")
     rng = np.random.default_rng(seed)
     if not without_replacement:
         with allocation(f"{samples} permutations"):
@@ -189,8 +191,6 @@ def _mean_marginals(
     permutation order by `np.add.at`.
     """
     n = spec.n
-    if n == 0:
-        raise DataError("cannot attribute a game with no features")
     engine = PayoffEngine(spec, grid)
     # Each permutation's n + 1 prefix masks, from the empty coalition on.
     masks = np.zeros((len(perms), n + 1), np.int64 if n < 64 else object)

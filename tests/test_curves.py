@@ -428,5 +428,5 @@ def test_trapezoid_adds_its_terms_in_point_order():
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     assert [trapezoid(row, x) for row in y] == want.tolist()
     assert trapezoid(y.reshape(20, 10, 101), x).shape == (20, 10)
-    assert trapezoid([0.3], [0.5]) == 0.0
+    assert trapezoid([0.3], [0.5]) == trapezoid([], []) == 0.0
     assert isinstance(trapezoid([0.3], [0.5]), float)

@@ -166,6 +166,14 @@ class TestSampled:
         with pytest.raises(errors.DataError):
             shapley_sampled(spec, samples=0, seed=0)
 
+    def test_rejects_a_game_without_features_before_drawing(self, banknote_split):
+        """(10^15, 0) permutations take no memory, so only this check stops
+        the draw of 10^15 empty rows."""
+        train, test = (cs.Dataset(d.features[:, :0], d.labels, ()) for d in banknote_split)
+        spec = GameSpec(Target.auc(), train, test)
+        with pytest.raises(errors.DataError, match="no features"):
+            shapley_sampled(spec, samples=10 ** 15, seed=0)
+
 
 class TestCurve:
     def test_grid_assembly(self, roc_tables):

@@ -233,7 +233,8 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     cut = math.floor(spec.train_fraction * d.n_rows)
     train_idx, test_idx = order[:cut], order[cut:]
     for side, idx in (("train", train_idx), ("test", test_idx)):
-        if idx.size == 0 or len(np.unique(d.labels[idx])) < 2:
+        labels = d.labels[idx]
+        if idx.size == 0 or labels.min() == labels.max():
             raise DegenerateSplit(
                 f"{side} side of the split does not contain both classes "
                 f"(fraction={spec.train_fraction}, seed={spec.seed})"
@@ -242,7 +243,16 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 def _take_rows(d: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(d.features[idx], d.labels[idx], d.feature_names)
+    """The rows `idx` of `d`, an integer index array that the caller has
+    checked to keep both label classes.  The rows of a checked dataset are
+    finite, labelled 0/1 and named, so they are not checked again; they are
+    read-only and C-contiguous like any dataset's."""
+    rows = object.__new__(Dataset)
+    for name, array in (("features", d.features[idx]), ("labels", d.labels[idx])):
+        array.setflags(write=False)
+        object.__setattr__(rows, name, array)
+    object.__setattr__(rows, "feature_names", d.feature_names)
+    return rows
 
 
 def project(d: Dataset, features: Iterable[int]) -> Dataset:

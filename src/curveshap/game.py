@@ -9,6 +9,8 @@ worth 0 by definition and is never evaluated through a model.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import methodcaller
@@ -223,6 +225,10 @@ class PayoffEngine:
         self.spec = spec
         self.scorer = spec.fit(spec.train)
         self.trainings = 0      # coalitions scored
+        # The grand coalition's raw readout (1 + abscissae,): its area, then its
+        # curve's values at the abscissae, no baseline subtracted, even where
+        # its payoffs are zero; set by each `payoffs` call that scores it.
+        self.grand_readout = None
 
     def payoffs(self, masks: Sequence[int]) -> np.ndarray:
         """The (1 + abscissae, len(masks)) payoff columns of `masks`, Python
@@ -243,12 +249,21 @@ class PayoffEngine:
                 raise DataError(f"mask {mask:#x} has bits beyond arity {n}")
         sizes = np.fromiter(map(int.bit_count, masks), dtype=np.min_scalar_type(n),
                             count=len(masks))
+        # Raw readouts first, made payoffs in place once every sweep is read.
         out = np.zeros((1 + self.abscissae.size, len(masks)))
+        valid = np.zeros(len(masks), dtype=bool)
         for chunks in self._sweeps(sizes):
             columns = np.concatenate(chunks)
-            rows = self._rows(list(map(masks.__getitem__, columns.tolist())),
-                              [chunk.size for chunk in chunks])
+            rows, finite = self._rows(list(map(masks.__getitem__, columns.tolist())),
+                                      [chunk.size for chunk in chunks])
             out[:, columns] = rows.T
+            valid[columns] = finite
+        grand = np.flatnonzero(sizes == n)
+        if n and grand.size:
+            self.grand_readout = out[:, grand[-1]].copy()
+        out[0] -= 0.5
+        out[1:] -= self.baselines[:, np.newaxis]
+        out[:, ~valid] = 0.0
         return out
 
     def _sweeps(self, sizes: np.ndarray):
@@ -277,11 +292,11 @@ class PayoffEngine:
         if sweep:
             yield sweep
 
-    def _rows(self, masks: list[int], chunks: list[int]) -> np.ndarray:
-        """The (M, 1 + abscissae) payoff rows of M coalitions, scored in
+    def _rows(self, masks: list[int], chunks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The (M, 1 + abscissae) raw readouts of M coalitions, scored in
         consecutive chunks of the given lengths, each of one size, and swept
-        together; a zero row, with one DegenerateCurveWarning each, where the
-        scores are not all finite."""
+        together, and which of them have all their scores finite; one
+        DegenerateCurveWarning for each that has not."""
         spec, slices = self.spec, self.abscissae
         # Masks are Python ints of any width: unpack them bytewise, not as int64.
         width = (spec.n + 7) // 8
@@ -299,18 +314,33 @@ class PayoffEngine:
         self.trainings += len(masks)
         finite = np.isfinite(scores).all(axis=1)
         curves = self._sweep(scores)
-        rows = np.zeros((len(masks), 1 + slices.size))
-        rows[finite, 0] = curves.areas[finite] - 0.5
+        rows = np.empty((len(masks), 1 + slices.size))
+        rows[:, 0] = curves.areas
         if slices.size:
-            rows[finite, 1:] = curves.estimate(slices, spec.strategy)[finite] - self.baselines
-        for i in np.flatnonzero(~finite).tolist():
+            rows[:, 1:] = curves.estimate(slices, spec.strategy)
+        degenerate = np.flatnonzero(~finite).tolist()
+        if degenerate:
+            stacklevel = _outside_stacklevel()
+        for i in degenerate:
             warnings.warn(
                 f"coalition {masks[i]:#x} has no valid curve "
                 "(scores contain non-finite values); payoff set to 0",
                 DegenerateCurveWarning,
-                stacklevel=4,
+                stacklevel=stacklevel,
             )
-        return rows
+        return rows, finite
+
+
+def _outside_stacklevel() -> int:
+    """The `stacklevel` at which a warning of this function's caller names the
+    first frame outside this package: the caller's own line, whichever path
+    through the package led to the warning.  (`skip_file_prefixes` does this
+    from Python 3.12 on.)"""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _payoff_matrix(spec: GameSpec, grid: np.ndarray | None) -> tuple[PayoffEngine, np.ndarray]:

@@ -7,6 +7,15 @@ matrix holds each coalition's area and slice payoffs.  `mc_bands` is the one
 loop over iterations; `mc_curves` and `mc_attributions` read their part of it.
 Aggregates are means and population standard deviations over a common abscissa
 grid.
+
+An iteration does only the work that depends on its split.  The split takes
+its rows without checking them again.  When the curve band's family has a
+slice game that interpolates on the grid, the band row is that game's raw
+readout of the grand coalition, read from the game's own sweep; otherwise the
+full feature set is scored and swept once more for it.  The payoff matrices
+of consecutive iterations are solved together, in blocks of at most
+BLOCK_PAYOFFS payoffs, one Shapley map per block; each iteration's
+attributions still pass their own efficiency checks.
 """
 
 from __future__ import annotations
@@ -21,8 +30,13 @@ from .dataset import Dataset, SplitSpec, split
 from .errors import DataError, allocation
 from .game import _ROC_KINDS, GameSpec, Target
 from .model import train_gnb
-from .shapley import Attribution, CurveAttribution, _shapley_map
+from .shapley import SOLVE_FLOATS, Attribution, CurveAttribution, _shapley_map
 from . import game
+
+# Most payoffs that one Shapley solve of `mc_bands` takes, from the payoff
+# matrices of consecutive iterations.  Held matrices add to the peak memory,
+# so a block stays well below SOLVE_FLOATS.
+BLOCK_PAYOFFS = SOLVE_FLOATS // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,49 +155,85 @@ def mc_bands(
     if a slice target asks for it: one Shapley map over its payoff matrix
     gives the area values (row 0) and the slice values (the other rows).  A
     slice target's own abscissa is ignored; its games use `strategy`, while
-    the curve band always interpolates.
+    the curve band always interpolates.  So when the band's family has a
+    slice game and `strategy` interpolates, the band row is that game's raw
+    readout of the grand coalition on the grid, read from the game's sweep;
+    otherwise the full feature set is scored and swept apart.
+
+    Each family's payoff matrices are held until they reach BLOCK_PAYOFFS
+    payoffs and solved together, in one Shapley map per block, which gives
+    every matrix the bits of its own; a larger matrix is solved alone.  Each
+    iteration's attributions then pass their efficiency checks one by one.
     """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
     games = {}      # curve family → game; slice targets come last and win
     for target in sorted(targets, key=lambda t: t.is_slice):
         games[target.kind in _ROC_KINDS] = Target(target.kind)
-    n, grid = d.n_features, cfg.grid
+    n, grid, roc = d.n_features, cfg.grid, kind == "roc"
+    # The grand coalition of an empty feature set is not scored by its game.
+    shared = (n > 0 and roc in games and games[roc].is_slice
+              and strategy is Strategy.INTERPOLATION)
     with allocation(f"{cfg.iterations} iterations"):
         rows = np.empty((cfg.iterations, grid.size))
         # Per iteration: φ per feature and grid point for a slice target, φ
         # per feature and then the achieved total for an area target.
         stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
                            else (cfg.iterations, n + 1)) for t in targets]
+    # Per family: the (iteration, baselines, payoff matrix) awaiting a solve.
+    held = {family: [] for family in games}
+
+    def solve(family: bool) -> None:
+        block = held[family]
+        values = _shapley_map(np.concatenate([matrix for _, _, matrix in block]))
+        start = 0
+        for k, baselines, matrix in block:
+            solved = values[:, start:start + len(matrix)]
+            start += len(matrix)
+            for target, stack in zip(targets, stacks):
+                if (target.kind in _ROC_KINDS) != family:
+                    continue
+                if target.is_slice:
+                    stack[k] = CurveAttribution(
+                        d.feature_names, grid, solved[:, 1:],
+                        baselines + matrix[1:, -1], baselines, target.kind,
+                    ).values
+                else:
+                    attr = Attribution(
+                        d.feature_names, solved[:, 0], target.baseline(),
+                        target.baseline() + matrix[0, -1], target,
+                    )
+                    stack[k] = np.append(attr.values, attr.total)
+        block.clear()
+
+    def hold(family: bool, k: int, baselines: np.ndarray, matrix: np.ndarray) -> None:
+        block = held[family]
+        if block and sum(m.size for _, _, m in block) + matrix.size > BLOCK_PAYOFFS:
+            solve(family)
+        block.append((k, baselines, matrix))
+        if sum(m.size for _, _, m in block) >= BLOCK_PAYOFFS:
+            solve(family)
 
     def iterate(k: int) -> None:
         # A function of its own, so this split's model, term tables and games
         # are freed before the next split builds its own.
         train, test = split(d, cfg.split_spec(k))
         model = train_gnb(train)
-        curve = sweeper(test.labels, kind == "roc")(model.score(test)[np.newaxis])
-        rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
-        solved = {}
+        if not shared:
+            curve = sweeper(test.labels, roc)(model.score(test)[np.newaxis])
+            rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
         for family, target in games.items():
             spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
             engine, matrix = game._payoff_matrix(spec, grid if target.is_slice else None)
-            solved[family] = engine, matrix, _shapley_map(matrix)
-        for target, stack in zip(targets, stacks):
-            engine, matrix, values = solved[target.kind in _ROC_KINDS]
-            if target.is_slice:
-                stack[k] = CurveAttribution(
-                    train.feature_names, grid, values[:, 1:],
-                    engine.baselines + matrix[1:, -1], engine.baselines, target.kind,
-                ).values
-            else:
-                attr = Attribution(
-                    train.feature_names, values[:, 0], target.baseline(),
-                    target.baseline() + matrix[0, -1], target,
-                )
-                stack[k] = np.append(attr.values, attr.total)
+            if shared and family == roc:
+                rows[k] = engine.grand_readout[1:]
+            hold(family, k, engine.baselines, matrix)
 
     for k in range(cfg.iterations):
         iterate(k)
+    for family in games:
+        if held[family]:
+            solve(family)
     band = BandedSeries(grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
     bands = [
         McCurveAttribution(d.feature_names, grid, stack.mean(axis=0), stack.std(axis=0),

@@ -2,12 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import errors
-from curveshap.dataset import write_dataset_csv
+from curveshap.dataset import _take_rows, write_dataset_csv
 
 from conftest import make_blobs
 
@@ -158,6 +158,18 @@ class TestSplit:
         with pytest.raises(errors.DegenerateSplit):
             cs.split(d, cs.SplitSpec(0.34, 0))
 
+    @pytest.mark.parametrize("labels, fraction, side", [
+        ([1, 0, 0], 0.34, "train"), ([1, 0, 1, 0], 0.75, "test"),
+    ])
+    def test_degenerate_split_names_its_side(self, labels, fraction, side):
+        d = cs.Dataset(np.arange(len(labels), dtype=float).reshape(-1, 1), np.array(labels),
+                       ("a",))
+        message = (f"{side} side of the split does not contain both classes "
+                   f"(fraction={fraction}, seed=0)")
+        with pytest.raises(errors.DegenerateSplit) as caught:
+            cs.split(d, cs.SplitSpec(fraction, 0))
+        assert str(caught.value) == message
+
     def test_fraction_bounds(self):
         with pytest.raises(errors.DataError):
             cs.SplitSpec(1.0, 0)
@@ -177,6 +189,26 @@ class TestSplit:
         assert (
             np.sort(combined, axis=0) == np.sort(d.features, axis=0)
         ).all()
+
+
+@settings(max_examples=60)
+@given(n_features=st.integers(0, 3), data=st.data())
+def test_take_rows_equals_the_checked_constructor(n_features, data):
+    """A row subset of a checked dataset, built without checking its rows
+    again, equals the one the public constructor builds, field by field."""
+    d = make_blobs(np.random.default_rng(5), n_rows=30, n_features=n_features)
+    idx = np.array(data.draw(st.lists(st.integers(0, 29), min_size=2, max_size=30,
+                                      unique=True)))
+    assume(d.labels[idx].min() < d.labels[idx].max())
+    taken = _take_rows(d, idx)
+    checked = cs.Dataset(d.features[idx], d.labels[idx], d.feature_names)
+    for field in ("features", "labels"):
+        a, b = getattr(taken, field), getattr(checked, field)
+        np.testing.assert_array_equal(a, b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert (a.flags.writeable, a.flags.c_contiguous) == (b.flags.writeable,
+                                                             b.flags.c_contiguous)
+    assert taken.feature_names == checked.feature_names
 
 
 class TestProject:
@@ -233,8 +265,10 @@ class TestImbalance:
             cs.subsample_imbalance(d, cs.ImbalanceSpec(0.10, 0))
 
     def test_cannot_upsample(self, banknote):
-        with pytest.raises(errors.InfeasibleProportion):
+        with pytest.raises(errors.InfeasibleProportion) as caught:
             cs.subsample_imbalance(banknote, cs.ImbalanceSpec(0.9, 0))
+        assert str(caught.value) == ("cannot reach positive_fraction=0.9 by down-sampling "
+                                     "610 positives against 762 negatives")
 
     def test_deterministic(self, banknote):
         a = cs.subsample_imbalance(banknote, cs.ImbalanceSpec(0.10, 5))

@@ -785,6 +785,33 @@ def test_overflowing_column_warns_only_of_degenerate_coalitions(banknote):
     ]
 
 
+def overflowing_banknote(banknote):
+    """Banknote with `skewness` scaled by 1e200: the coalitions holding it
+    score non-finite."""
+    features = banknote.features.copy()
+    features[:, banknote.feature_names.index("skewness")] *= 1e200
+    return cs.Dataset(features, banknote.labels, banknote.feature_names)
+
+
+@pytest.mark.parametrize("caller", ["evaluate_all", "shapley_sampled", "mc_attributions"])
+def test_degenerate_warnings_name_the_callers_line(banknote, caller):
+    """Whichever path through the package reaches the warning, it names the
+    first line outside the package that led to it."""
+    huge = overflowing_banknote(banknote)
+    train, test = cs.split(huge, cs.SplitSpec(0.8, 0))
+    spec = GameSpec(Target.auc(), train, test)
+    run = {
+        "evaluate_all": lambda: evaluate_all(spec),
+        "shapley_sampled": lambda: shapley_sampled(spec, samples=20, seed=0),
+        "mc_attributions": lambda: cs.mc_attributions(huge, cs.McConfig(2), Target.auc()),
+    }[caller]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    assert caught and {w.category for w in caught} == {DegenerateCurveWarning}
+    assert {(w.filename, w.lineno) for w in caught} == {(__file__, run.__code__.co_firstlineno)}
+
+
 @pytest.mark.parametrize("target, error", [
     (Target.auc(), errors.SingleClassLabels), (Target.auprc(), errors.NoPositiveLabels),
 ], ids=["auc", "auprc"])

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 import weakref
 from collections import Counter
 
@@ -9,6 +10,7 @@ import curveshap as cs
 from curveshap import errors
 from curveshap.curves import Strategy, trapezoid
 from curveshap.dataset import SplitSpec
+from curveshap.game import DegenerateCurveWarning
 from curveshap.uncertainty import (
     BandedSeries,
     McAttribution,
@@ -213,7 +215,9 @@ class TestMcBands:
     @pytest.mark.parametrize("kind", ["roc", "pr"])
     def test_points_are_built_once_per_band_sweep(self, banknote, kind, swept_batches):
         """Each iteration's curve band builds its sweep's points; an area
-        game beside it builds none, and a slice game those of its sweep."""
+        game beside it builds none.  An interpolating slice game builds those
+        of its sweep, and the band reads the grand coalition's row from it;
+        under another strategy the band is swept apart."""
         cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
         area, curve = ((cs.Target.auc(), cs.Target.roc_slice(0.0)) if kind == "roc"
                        else (cs.Target.auprc(), cs.Target.prc_slice(0.5)))
@@ -221,7 +225,69 @@ class TestMcBands:
         assert (len(swept_batches), points_built(swept_batches)) == (6, 3)
         swept_batches.clear()
         mc_bands(banknote, cfg, kind, [area, curve])
+        assert (len(swept_batches), points_built(swept_batches)) == (3, 3)
+        swept_batches.clear()
+        mc_bands(banknote, cfg, kind, [area, curve], Strategy.PESSIMISTIC)
         assert (len(swept_batches), points_built(swept_batches)) == (6, 6)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
+    @pytest.mark.parametrize("kind", ["roc", "pr"])
+    def test_band_from_the_game_equals_the_band_swept_apart(self, banknote, kind, scale):
+        """The band that an interpolating slice game gives equals the band of
+        the full feature set scored and swept apart, bit for bit.  With one
+        column scaled by 1e200 the grand coalition scores non-finite: its
+        payoffs are 0, but its band row keeps its curve's raw values."""
+        features = banknote.features.copy()
+        features[:, 1] *= scale
+        d = cs.Dataset(features, banknote.labels, banknote.feature_names)
+        cfg = McConfig(iterations=3, base_seed=5, grid=np.linspace(0.0, 1.0, 11))
+        area, curve = ((cs.Target.auc(), cs.Target.roc_slice(0.0)) if kind == "roc"
+                       else (cs.Target.auprc(), cs.Target.prc_slice(0.5)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateCurveWarning)
+            shared, _ = mc_bands(d, cfg, kind, [area, curve])
+            apart, _ = mc_bands(d, cfg, kind, [area])
+        grand = [w for w in caught if str(w.message).startswith("coalition 0xf ")]
+        assert len(grand) == (0 if scale == 1.0 else 6)
+        rows, _ = reference_bands(d, cfg, kind, [])
+        for band in (shared, apart):
+            np.testing.assert_array_equal(band.mean, rows.mean(axis=0))
+            np.testing.assert_array_equal(band.std, rows.std(axis=0))
+        assert shared.mean.any()
+
+    def test_a_game_without_features_leaves_the_band_swept_apart(self, banknote):
+        """A game of no features scores no coalition, so the band is swept
+        apart: the prior-only model's diagonal ROC curve."""
+        empty = cs.Dataset(np.zeros((banknote.n_rows, 0)), banknote.labels, ())
+        cfg = McConfig(iterations=2, grid=np.linspace(0.0, 1.0, 5))
+        band, _ = mc_bands(empty, cfg, "roc", [cs.Target.roc_slice(0.0)])
+        np.testing.assert_array_equal(band.mean, cfg.grid)
+
+    def test_shapley_solves_take_blocks_of_iterations(self, banknote, monkeypatch):
+        """Each family's payoff matrices are solved together, at most
+        BLOCK_PAYOFFS payoffs at a time, in iteration order; a matrix of more
+        payoffs is solved alone, one call per iteration."""
+        calls = []
+
+        def recording(payoffs):
+            calls.append(np.array(payoffs))
+            return shapley_map(payoffs)
+
+        shapley_map = uncertainty._shapley_map
+        monkeypatch.setattr(uncertainty, "_shapley_map", recording)
+        cfg = McConfig(iterations=12, base_seed=1)
+        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        per_iteration = (1 + cfg.grid.size) * 16
+        assert all(call.size <= uncertainty.BLOCK_PAYOFFS for call in calls)
+        assert [call.size for call in calls] == [5 * per_iteration] * 2 + [2 * per_iteration]
+        calls.clear()
+        mc_bands(banknote, cfg, "roc", [cs.Target.auc()])
+        assert [call.shape for call in calls] == [(12, 16)]
+        calls.clear()
+        wide = make_blobs(np.random.default_rng(1), n_rows=80, n_features=7)
+        assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
+        mc_bands(wide, McConfig(iterations=3), "roc", [cs.Target.roc_slice(0.0)])
+        assert [call.shape for call in calls] == [(1 + cfg.grid.size, 1 << 7)] * 3
 
     def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
         """An area and a slice target of one curve family share one game, so

@@ -318,15 +318,12 @@ class PayoffEngine:
         rows[:, 0] = curves.areas
         if slices.size:
             rows[:, 1:] = curves.estimate(slices, spec.strategy)
-        degenerate = np.flatnonzero(~finite).tolist()
-        if degenerate:
-            stacklevel = _outside_stacklevel()
-        for i in degenerate:
+        for i in np.flatnonzero(~finite).tolist():
             warnings.warn(
                 f"coalition {masks[i]:#x} has no valid curve "
                 "(scores contain non-finite values); payoff set to 0",
                 DegenerateCurveWarning,
-                stacklevel=stacklevel,
+                stacklevel=_outside_stacklevel(),
             )
         return rows, finite
 

@@ -19,6 +19,8 @@ import json
 import shutil
 import sys
 import tempfile
+import warnings
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -242,7 +244,7 @@ def _explain_area(spec: GameSpec, params: dict, out: Path, suffix: str, label: s
     attr, table = _area_attribution(spec, params)
     _write_attribution(out, f"attribution{suffix}", attr)
     if table is not None:
-        report.write_csv(out / f"payoffs{suffix}.csv", *report.payoff_rows(table))
+        report.write_payoffs(out / f"payoffs{suffix}.csv", table)
     return [
         f"{label}: {report.percent(attr.total)} (baseline {report.percent(attr.baseline)})",
         *notes,
@@ -456,6 +458,27 @@ def _replay_params(parser: argparse.ArgumentParser, path: str) -> dict:
     return _validate(parser, parser.parse_args(_manifest_argv(params)))
 
 
+@contextmanager
+def _bare_degenerate_warnings():
+    """Format each DegenerateCurveWarning shown on stderr as one line,
+    `warning: <message>`.  Its location, the first frame outside the
+    package, names no line of the user's: under `python -m` it is the runpy
+    frame.  The warning filters, and any recorder, still see every warning;
+    other warnings keep their format."""
+    format_warning = warnings.formatwarning
+
+    def bare(message, category, filename, lineno, line=None):
+        if issubclass(category, game.DegenerateCurveWarning):
+            return f"warning: {message}\n"
+        return format_warning(message, category, filename, lineno, line)
+
+    warnings.formatwarning = bare
+    try:
+        yield
+    finally:
+        warnings.formatwarning = format_warning
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -467,7 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if params is None:
             params = _replay_params(parser, args.manifest)
-        _run(params)
+        with _bare_degenerate_warnings():
+            _run(params)
     except CurveshapError as exc:
         _error_record(exc)
         return 3 if isinstance(exc, DataError) else 4

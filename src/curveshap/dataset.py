@@ -206,9 +206,12 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write an artifact's text as UTF-8, whatever the locale's encoding."""
-    Path(path).write_text(text, encoding="utf-8")
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write an artifact's text, whole or as an iterable of chunks written
+    one after another to one handle, as UTF-8, whatever the locale's
+    encoding."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines([text] if isinstance(text, str) else text)
 
 
 def _parse_label(text: str, line_no: int) -> int:

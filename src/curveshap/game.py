@@ -5,6 +5,13 @@ coalition sits above the random-classifier baseline: AUC − 0.50 and
 AUPRC − 0.50 for areas, tpr − fpr at a query FPR for ROC slices, and
 precision − 0.50 at a query recall for PRC slices.  The empty coalition is
 worth 0 by definition and is never evaluated through a model.
+
+A `PayoffEngine` scores the coalitions a game asks for and reads their
+payoffs from their swept curves.  Given masks are scored in batches by size
+through the scorer's `score`.  An exact game, which asks for the whole
+lattice, reads a `TrainedModel`'s scores from the model's rank-order walk
+(`model.lattice_scores`) instead; any other scorer is scored in batches.
+Both paths give the same payoffs, warnings and counts, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .curves import Strategy, check_grid, sweeper
 from .dataset import Dataset
 from .errors import DataError, IncompleteTable, TooManyFeaturesForExactMode
-from .model import train_gnb
+from .model import TrainedModel, lattice_scores, train_gnb
 
 EXACT_MODE_CAP = 20
 
@@ -203,10 +210,11 @@ class PayoffEngine:
     of the target's curve family), then its payoffs at the slice `abscissae`
     the engine is bound to: none for an area target, the target's own, or a
     grid; it is zero if its scores are not all finite.  `payoffs` scores the given
-    coalitions in chunks of one size, one `score` call each, and sweeps
-    consecutive chunks together into one `CurveBatch`, whose areas and
-    operating points give the payoffs of all its rows at once; nothing is
-    kept between calls.
+    coalitions in chunks of one size, one `score` call each, or the whole
+    lattice of a `TrainedModel` by its walk, and sweeps consecutive chunks
+    or walk blocks together into one `CurveBatch`, whose areas and operating
+    points give the payoffs of all its rows at once; nothing is kept between
+    calls.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -242,8 +250,17 @@ class PayoffEngine:
         BRACKET_FLOATS floats per coalition fit BATCH_FLOATS; a chunk that
         alone does not is swept alone.  That bounds the floats a batch holds
         while it is scored and swept.  A repeated mask is scored again.
+
+        The whole lattice in mask order, `range(1 << n)`, of a game whose
+        scorer is a `TrainedModel` is scored by the model's rank-order walk
+        instead (`model.lattice_scores`, at most n blocks that fit
+        BATCH_FLOATS), its blocks swept under the same budget: the same
+        payoffs, bit for bit, without one gather per coalition.
         """
         n = self.spec.n
+        if (isinstance(masks, range) and masks == range(1 << n)
+                and isinstance(self.scorer, TrainedModel)):
+            return self._lattice()
         for mask in (min(masks, default=0), max(masks, default=0)):
             if mask >> n:       # a negative mask shifts to -1
                 raise DataError(f"mask {mask:#x} has bits beyond arity {n}")
@@ -252,25 +269,39 @@ class PayoffEngine:
         # Raw readouts first, made payoffs in place once every sweep is read.
         out = np.zeros((1 + self.abscissae.size, len(masks)))
         valid = np.zeros(len(masks), dtype=bool)
-        for chunks in self._sweeps(sizes):
+        degenerate = []
+        for chunks in self._merged(self._chunks(sizes)):
             columns = np.concatenate(chunks)
-            rows, finite = self._rows(list(map(masks.__getitem__, columns.tolist())),
-                                      [chunk.size for chunk in chunks])
-            out[:, columns] = rows.T
-            valid[columns] = finite
+            swept = list(map(masks.__getitem__, columns.tolist()))
+            rows, finite = self._read(self._score(swept, [chunk.size for chunk in chunks]))
+            out[:, columns], valid[columns] = rows, finite
+            degenerate += [swept[i] for i in np.flatnonzero(~finite).tolist()]
         grand = np.flatnonzero(sizes == n)
         if n and grand.size:
             self.grand_readout = out[:, grand[-1]].copy()
-        out[0] -= 0.5
-        out[1:] -= self.baselines[:, np.newaxis]
-        out[:, ~valid] = 0.0
-        return out
+        return self._payoffs(out, valid, degenerate)
 
-    def _sweeps(self, sizes: np.ndarray):
+    def _lattice(self) -> np.ndarray:
+        """`payoffs(range(1 << n))` from the blocks of the model's walk; the
+        degenerate coalitions are warned of in the order `payoffs` scores
+        them, by size, then mask."""
+        n = self.spec.n
+        out = np.zeros((1 + self.abscissae.size, 1 << n))
+        valid = np.zeros(1 << n, dtype=bool)
+        blocks = lattice_scores(self.scorer, self.spec.test, BATCH_FLOATS)
+        for sweep in self._merged(blocks, lambda block: block[0].size):
+            masks = np.concatenate([masks for masks, _ in sweep])
+            out[:, masks], valid[masks] = self._read(
+                np.concatenate([scores for _, scores in sweep]))
+        if n:
+            self.grand_readout = out[:, -1].copy()
+        degenerate = sorted((np.flatnonzero(~valid[1:]) + 1).tolist(), key=int.bit_count)
+        return self._payoffs(out, valid, degenerate)
+
+    def _chunks(self, sizes: np.ndarray):
         """The columns of the non-empty masks of `sizes` (their popcounts), as
-        lists of consecutive scoring chunks, one list per sweep."""
+        scoring chunks of one size each."""
         rows = self.spec.test.n_rows
-        per_coalition = rows * SWEEP_FLOATS + self.abscissae.size * BRACKET_FLOATS
         order = np.argsort(sizes, kind="stable")
         counts = np.bincount(sizes)
         starts = (np.cumsum(counts) - counts).tolist()
@@ -278,26 +309,34 @@ class PayoffEngine:
         # mask of size k.  Size 0, the empty coalition, is not scored.
         present = (np.flatnonzero(counts[1:]) + 1).tolist()
         present.sort(key=lambda k: order[starts[k]])
-        sweep, floats = [], 0
         for k in present:
             group = order[starts[k]:starts[k] + counts[k]]
             step = max(1, BATCH_FLOATS // (rows * (k + SWEEP_FLOATS)))
             for start in range(0, group.size, step):
-                chunk = group[start:start + step]
-                if sweep and floats + chunk.size * per_coalition > BATCH_FLOATS:
-                    yield sweep
-                    sweep, floats = [], 0
-                sweep.append(chunk)
-                floats += chunk.size * per_coalition
+                yield group[start:start + step]
+
+    def _merged(self, chunks, coalitions=len):
+        """Consecutive `chunks`, as lists, one list per sweep: a sweep takes
+        chunks while their test rows × SWEEP_FLOATS + abscissae ×
+        BRACKET_FLOATS floats per coalition fit BATCH_FLOATS, and a chunk that
+        alone does not is swept alone.  `coalitions` counts a chunk's."""
+        per_coalition = (self.spec.test.n_rows * SWEEP_FLOATS
+                         + self.abscissae.size * BRACKET_FLOATS)
+        sweep, floats = [], 0
+        for chunk in chunks:
+            size = coalitions(chunk) * per_coalition
+            if sweep and floats + size > BATCH_FLOATS:
+                yield sweep
+                sweep, floats = [], 0
+            sweep.append(chunk)
+            floats += size
         if sweep:
             yield sweep
 
-    def _rows(self, masks: list[int], chunks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The (M, 1 + abscissae) raw readouts of M coalitions, scored in
-        consecutive chunks of the given lengths, each of one size, and swept
-        together, and which of them have all their scores finite; one
-        DegenerateCurveWarning for each that has not."""
-        spec, slices = self.spec, self.abscissae
+    def _score(self, masks: list[int], chunks: list[int]) -> np.ndarray:
+        """The (M, test rows) scores of M coalitions, scored in consecutive
+        chunks of the given lengths, each of one size."""
+        spec = self.spec
         # Masks are Python ints of any width: unpack them bytewise, not as int64.
         width = (spec.n + 7) // 8
         raw = b"".join(map(methodcaller("to_bytes", width, "little"), masks))
@@ -311,21 +350,35 @@ class PayoffEngine:
             columns = np.nonzero(bits[start:start + size])[1].reshape(size, -1)
             scores[start:start + size] = self.scorer.score(spec.test, columns)
             start += size
-        self.trainings += len(masks)
-        finite = np.isfinite(scores).all(axis=1)
+        return scores
+
+    def _read(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (1 + abscissae, M) raw readouts of M coalitions from their
+        (M, test rows) scores, swept at once, and which of them have all
+        their scores finite."""
+        self.trainings += len(scores)
         curves = self._sweep(scores)
-        rows = np.empty((len(masks), 1 + slices.size))
-        rows[:, 0] = curves.areas
-        if slices.size:
-            rows[:, 1:] = curves.estimate(slices, spec.strategy)
-        for i in np.flatnonzero(~finite).tolist():
+        rows = np.empty((1 + self.abscissae.size, len(scores)))
+        rows[0] = curves.areas
+        if self.abscissae.size:
+            rows[1:] = curves.estimate(self.abscissae, self.spec.strategy).T
+        return rows, np.isfinite(scores).all(axis=1)
+
+    def _payoffs(self, out: np.ndarray, valid: np.ndarray, degenerate: list[int]) -> np.ndarray:
+        """Raw readouts `out` made payoffs in place: the baselines subtracted
+        and the columns not `valid` zeroed; one DegenerateCurveWarning for each
+        of the `degenerate` masks, in order."""
+        out[0] -= 0.5
+        out[1:] -= self.baselines[:, np.newaxis]
+        out[:, ~valid] = 0.0
+        for mask in degenerate:
             warnings.warn(
-                f"coalition {masks[i]:#x} has no valid curve "
+                f"coalition {mask:#x} has no valid curve "
                 "(scores contain non-finite values); payoff set to 0",
                 DegenerateCurveWarning,
                 stacklevel=_outside_stacklevel(),
             )
-        return rows, finite
+        return out
 
 
 def _outside_stacklevel() -> int:

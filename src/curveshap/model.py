@@ -33,6 +33,15 @@ coalition's columns sums in the same order, and duplicate columns score
 bit-identically.  The terms are not added smallest value first.  A batch's
 terms are gathered feature-major, one (M, rows) plane per feature in rank
 order, and added with one numpy call per plane, not per lane.
+
+`lattice_scores` scores every coalition of the model's columns at once by a
+prefix walk in rank order.  A coalition one column short of another, that
+column ranked above its members but below their level, holds the first
+partial sum of the other's in-order sum, so the walk adds one plane per
+step to sums it already holds, in blocks: about two plane additions per
+coalition (one to reach its prefix, one for its level's own plane) and no
+gather, against k gathers and additions for a coalition of k columns
+scored alone, and the same bits.
 """
 
 from __future__ import annotations
@@ -154,6 +163,18 @@ def _term_tables(m: TrainedModel, test: Dataset) -> tuple[np.ndarray, np.ndarray
     return np.argsort(order), terms
 
 
+def _tables(m: TrainedModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (rank, terms) of `test`, as `_term_tables` gives them,
+    built on the first call for this test set object and kept on the model
+    until it scores another."""
+    if m._tables is None or m._tables[0] is not test:
+        # Held with its test set, whose identity keys them; the old tables
+        # are freed before the new ones are built.
+        object.__setattr__(m, "_tables", None)
+        object.__setattr__(m, "_tables", (test, *_term_tables(m, test)))
+    return m._tables[1:]
+
+
 def _in_order_sum(planes: np.ndarray, out: np.ndarray) -> None:
     """Write to `out` the sum over the first axis of `planes` (k, ...), its
     planes added in order, one after another from 0.0.  A function of its
@@ -195,12 +216,7 @@ def score(
     repeated = ordered[:, 1:][ordered[:, 1:] == ordered[:, :-1]]
     if repeated.size:
         raise RepeatedColumn(int(repeated[0]))
-    if m._tables is None or m._tables[0] is not test:
-        # Held with its test set, whose identity keys them; the old tables
-        # are freed before the new ones are built.
-        object.__setattr__(m, "_tables", None)
-        object.__setattr__(m, "_tables", (test, *_term_tables(m, test)))
-    _, rank, terms = m._tables
+    rank, terms = _tables(m, test)
     # Each coalition's table rows at its level, in rank order, feature-major.
     ranks = np.sort(rank[cols], axis=1)
     level = ranks[:, -1:]
@@ -212,8 +228,72 @@ def score(
         # Freed before the other class gathers its own: a batch holds one
         # block of k terms per score at a time, as game.BATCH_FLOATS counts.
         del block
-        log_joint[c] += np.log(m.priors[c])
+    scores = _posteriors(log_joint, _log_priors(m))
+    return scores if batch else scores[0]
+
+
+def _log_priors(m: TrainedModel) -> tuple:
+    """The log of each class prior, a numpy scalar per class."""
+    return np.log(m.priors[0]), np.log(m.priors[1])
+
+
+def _posteriors(log_joint: np.ndarray, log_priors: tuple) -> np.ndarray:
+    """The positive-class posteriors of (2, M, rows) summed log-likelihoods,
+    each class's log prior added to its (M, rows) plane in place first."""
+    for c in (0, 1):
+        log_joint[c] += log_priors[c]
     # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), evaluated stably.
     with np.errstate(over="ignore", invalid="ignore"):   # see train_gnb
-        scores = np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))
-    return scores if batch else scores[0]
+        return np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))
+
+
+def lattice_scores(m: TrainedModel, test: Dataset, floats: int):
+    """Every non-empty coalition of the model's columns scored on `test`, as
+    (masks, scores) blocks: (B,) int64 coalition bitmasks (bit i set: column
+    i is a member) and their (B, rows) scores, each row bit for bit
+    `score(m, test, columns)` of its coalition alone.
+
+    A coalition's level is its highest-ranked column, and its log-likelihood
+    adds the level's table planes in ascending rank from 0.0.  So for a set T
+    of columns ranked below level L, and j ranked above max(T) and below L,
+    the sum over T ∪ {j} is the sum over T plus plane (L, j): the same
+    addition in the same order.  Level by level, the walk builds the sums of
+    every subset of the lowest b ranks by doubling, one block of 2^b rows
+    per class, then walks the higher ranks below the level depth-first,
+    adding one plane to the whole block per step.  A child's block is
+    computed only when it is visited, so the walk holds the blocks of one
+    path: at most n of 2 × 2^b × rows float64, b the largest (at least 0)
+    for which n of them fit `floats`.  Each visited block adds the level's
+    own plane and the log priors, and is scored as `score` scores.
+    """
+    if test.n_features != m.n_features:
+        raise ArityMismatch(m.n_features, test.n_features)
+    n, rows = m.n_features, test.n_rows
+    rank, terms = _tables(m, test)
+    bits = [1 << column for column in np.argsort(rank).tolist()]   # by rank
+    log_priors = _log_priors(m)
+    b = max(0, (floats // max(1, 2 * n * rows)).bit_length() - 1)
+    for level in range(n):
+        start = level * (level + 1) // 2
+        planes = terms[:, start:start + level + 1]
+        own, top = planes[:, level, np.newaxis], bits[level]
+        low = min(b, level)
+        block = np.zeros((2, 1 << low, rows))
+        masks = np.zeros(1 << low, dtype=np.int64)
+        for i in range(low):
+            half = 1 << i
+            np.add(block[:, :half], planes[:, i, np.newaxis], out=block[:, half:2 * half])
+            masks[half:2 * half] = masks[:half] | bits[i]
+        yield masks | top, _posteriors(block + own, log_priors)
+        # Each path entry: a block, the mask bits of its ranks from `low` up
+        # (the level's own included), and the next rank a child of it adds.
+        path = [(block, top, low)]
+        while path:
+            block, high, j = path[-1]
+            if j == level:
+                path.pop()
+                continue
+            path[-1] = (block, high, j + 1)
+            child = block + planes[:, j, np.newaxis]
+            path.append((child, high | bits[j], j + 1))
+            yield masks | (high | bits[j]), _posteriors(child + own, log_priors)

@@ -116,15 +116,40 @@ def mc_attribution_rows(mca: McAttribution):
     return header, rows
 
 
-def payoff_rows(table: PayoffTable):
-    """(bitmask, member names joined by '+', payoff) per coalition."""
-    header = ["coalition_mask", "members", "payoff"]
+def write_payoffs(path: str | Path, table: PayoffTable) -> None:
+    """Write `payoffs.csv`: a coalition_mask,members,payoff line per
+    coalition, members named in bit order and joined by '+'.
+
+    The member strings of the low ⌈n/2⌉ bits and of the high bits are built
+    by doubling: the string of m is the string of m without its highest bit,
+    then '+', then that bit's name.  A mask's members join one string from
+    each table, and its line is written in the chunk of its high bits, so the
+    writer holds O(2^(n/2)) strings and one chunk, never all 2^n lines.
+    """
     names = table.feature_names
-    rows = [
-        (mask, "+".join(n for i, n in enumerate(names) if mask >> i & 1), value)
-        for mask, value in enumerate(table.values.tolist())
-    ]
-    return header, rows
+    half = (len(names) + 1) // 2
+    low, high = _member_strings(names[:half]), _member_strings(names[half:])
+
+    def chunks():
+        yield "coalition_mask,members,payoff\n"
+        for h, upper in enumerate(high):
+            first = h << half
+            members = [upper] + [lower + "+" + upper if upper else lower for lower in low[1:]]
+            values = table.values[first:first + len(low)].tolist()
+            yield "".join([
+                f"{mask},{csv_cell(m)},{value:.12g}\n"
+                for mask, m, value in zip(range(first, first + len(low)), members, values)
+            ])
+
+    write_text(path, chunks())
+
+
+def _member_strings(names: Sequence[str]) -> list[str]:
+    """The '+'-joined member names of every mask over `names`, by mask."""
+    strings = [""]
+    for name in names:
+        strings += [f"{s}+{name}" if s else name for s in strings]
+    return strings
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import curveshap as cs
 from curveshap.cli import main
+from curveshap.dataset import write_dataset_csv
 
 BANKNOTE = str(cs.banknote_path())
 SRC = str(Path(cs.__file__).resolve().parents[1])
@@ -710,3 +711,25 @@ def test_artifacts_are_utf8_under_any_locale(argv, header, tmp_path):
     for name in names:
         if name != "manifest.json":     # differs in `out` only
             assert (outs["c"] / name).read_bytes() == (outs["utf8"] / name).read_bytes(), name
+
+
+def test_degenerate_coalitions_are_bare_lines_on_stderr(banknote, tmp_path):
+    """`python -m curveshap.cli` prints each degenerate coalition as one line,
+    `warning: <message>`, without a location, and exits 0: with skewness
+    × 1e200, the 8 coalitions holding it, by size, then mask."""
+    features = banknote.features.copy()
+    features[:, banknote.feature_names.index("skewness")] *= 1e200
+    data = tmp_path / "overflowing.csv"
+    write_dataset_csv(cs.Dataset(features, banknote.labels, banknote.feature_names),
+                      data, "class")
+    proc = subprocess.run(
+        [sys.executable, "-m", "curveshap.cli", "explain-auc", "--data", str(data),
+         "--label-column", "class", "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    masks = sorted((mask for mask in range(16) if mask & 0b10), key=int.bit_count)
+    assert proc.stderr.splitlines() == [
+        f"warning: coalition {mask:#x} has no valid curve (scores contain non-finite "
+        "values); payoff set to 0" for mask in masks
+    ]

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import tracemalloc
@@ -33,8 +34,8 @@ from curveshap.game import (
     evaluate_all,
     evaluate_slices,
 )
-from curveshap.model import score, train_gnb
-from curveshap.report import payoff_rows
+from curveshap.model import lattice_scores, score, train_gnb
+from curveshap.report import write_payoffs
 from curveshap.shapley import shapley_curve, shapley_sampled, shapley_sampled_curve
 
 from conftest import points_built
@@ -174,10 +175,11 @@ class TestEvaluateAll:
         values = np.array(list(t.payoffs.values()))
         assert (np.abs(values) <= 0.5).all()
 
-    def test_rows_name_members(self, auc_spec):
+    def test_rows_name_members(self, auc_spec, tmp_path):
         t = evaluate_all(auc_spec)
-        _, rows = payoff_rows(t)
-        named = dict((mask, members) for mask, members, _ in rows)
+        write_payoffs(tmp_path / "payoffs.csv", t)
+        with (tmp_path / "payoffs.csv").open(newline="") as handle:
+            named = {int(mask): members for mask, members, _ in list(csv.reader(handle))[1:]}
         assert named[0] == ""
         assert named[0b0101] == "variance+kurtosis"
         assert named[t.full_mask] == "variance+skewness+kurtosis+entropy"
@@ -370,6 +372,8 @@ def test_one_fit_per_game(run, banknote_split, monkeypatch):
 
 
 COLUMN_KINDS = ("normal", "ties", "constant", "duplicate")
+# Coalitions holding an overflowing column score non-finite: degenerate.
+WALK_KINDS = COLUMN_KINDS + ("overflow",)
 
 
 def coalition_split(seed, columns):
@@ -387,6 +391,8 @@ def coalition_split(seed, columns):
             features[:, j] = (rng.integers(0, 3, rows) + labels) * scale
         elif kind == "constant":
             features[:, j] = 7.0 * scale
+        elif kind == "overflow":        # finite, but its squares overflow
+            features[:, j] = (rng.normal(size=rows) + labels) * scale * 1e200
         else:
             features[:, j] = (rng.normal(size=rows) + labels) * scale
     names = tuple(f"f{j}" for j in range(len(columns)))
@@ -419,6 +425,84 @@ def test_coalition_scores_equal_a_refit(seed, columns):
         if mask:
             expected = auc_rank_statistic(refit, test.labels) - 0.5
             assert abs(engine.payoffs([mask])[-1, 0] - expected) <= 1e-12
+
+
+def walk_budgets(n, rows):
+    """Walk budgets: b = 0 (the deepest walks), b = 2, and two that take
+    whole levels on small test sets."""
+    return [1, 2 * n * rows * 4, 1 << 14, game.BATCH_FLOATS]
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 10_000),
+    columns=st.lists(
+        st.tuples(st.sampled_from(WALK_KINDS), st.integers(-6, 6)),
+        min_size=1, max_size=7,
+    ),
+)
+@example(seed=0, columns=[
+    ("ties", -6), ("constant", 0), ("duplicate", 0), ("normal", 6), ("overflow", -3),
+    ("duplicate", 0), ("ties", -6),
+])
+def test_walk_scores_equal_single_coalitions(seed, columns):
+    """The rank-order walk scores every non-empty coalition once, each row
+    bit for bit its coalition scored alone (NaN and -0.0 included), whatever
+    its budget."""
+    train, test = coalition_split(seed, columns)
+    n, model = len(columns), train_gnb(train)
+    for floats in walk_budgets(n, test.n_rows):
+        seen = []
+        for masks, scores in lattice_scores(model, test, floats):
+            assert scores.shape == (masks.size, test.n_rows)
+            for mask, row in zip(masks.tolist(), scores):
+                alone = score(model, test, [i for i in range(n) if mask >> i & 1])
+                np.testing.assert_array_equal(row.view(np.int64), alone.view(np.int64))
+            seen += masks.tolist()
+        assert sorted(seen) == list(range(1, 1 << n))
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 10_000),
+    columns=st.lists(
+        st.tuples(st.sampled_from(WALK_KINDS), st.integers(-6, 6)),
+        min_size=1, max_size=6,
+    ),
+    kind=st.sampled_from([AUC, AUPRC, ROC_SLICE, PRC_SLICE]),
+    strategy=st.sampled_from(list(Strategy)),
+)
+@example(seed=0, columns=[
+    ("ties", -6), ("overflow", 0), ("duplicate", 0), ("normal", 6), ("constant", -3),
+], kind=ROC_SLICE, strategy=Strategy.INTERPOLATION)
+def test_walk_payoffs_equal_the_batched_path(seed, columns, kind, strategy):
+    """An exact game of a TrainedModel reads the walk's blocks; one whose
+    scorer wraps the model takes the batched path.  Both give the same
+    matrix, trainings and grand readout, bit for bit, and warn of the same
+    degenerate coalitions in the same order, whatever the budget."""
+    train, test = coalition_split(seed, columns)
+    grid = None if kind in (AUC, AUPRC) else np.linspace(0.0, 1.0, 11)
+
+    def game_of(fit):
+        spec = GameSpec(Target(kind), train, test, strategy, fit=fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine, matrix = game._payoff_matrix(spec, grid)
+        assert {w.category for w in caught} <= {DegenerateCurveWarning}
+        return engine, matrix, [str(w.message) for w in caught]
+
+    for floats in walk_budgets(len(columns), test.n_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(game, "BATCH_FLOATS", floats)
+            walk, walked, walk_warnings = game_of(train_gnb)
+            batched, expected, batched_warnings = game_of(CountingScorer)
+        assert isinstance(walk.scorer, cs.TrainedModel)
+        assert not isinstance(batched.scorer, cs.TrainedModel)
+        np.testing.assert_array_equal(walked.view(np.int64), expected.view(np.int64))
+        assert walk.trainings == batched.trainings == (1 << len(columns)) - 1
+        np.testing.assert_array_equal(walk.grand_readout.view(np.int64),
+                                      batched.grand_readout.view(np.int64))
+        assert walk_warnings == batched_warnings
 
 
 def single_coalition_payoffs(spec, grid=None):
@@ -683,6 +767,29 @@ def test_batch_memory_is_bounded_by_the_budget(banknote, k):
     assert peak < BATCH_PEAK_MULTIPLE * (1 << 16) * 8
 
 
+# Peak traced bytes of an exact AUC game at n=14 on 275 test rows, its term
+# tables built, beyond its (2^14,) payoff matrix: 1.38 × the default
+# BATCH_FLOATS float64 (numpy 2.4.6), and 1.33 at n=16.  The walk holds one
+# path of at most n blocks of 2 × 8 × 275 float64 (0.94 of the budget at
+# n=14) while a sweep of up to 29 coalitions is read.  The batched path
+# peaked at 1.17 (n=14) and 2.25 (n=16).
+def test_exact_game_memory_is_the_matrix_and_a_budget(banknote):
+    """An exact game of a TrainedModel peaks within its payoff matrix plus a
+    fixed multiple of the default BATCH_FLOATS float64."""
+    train, test = banknote_with_noise(banknote, 10)
+    model = train_gnb(train)
+    model.score(test, [0])      # builds the split's term tables first
+    spec = GameSpec(Target.auc(), train, test, fit=lambda _: model)
+    tracemalloc.start()
+    try:
+        table = evaluate_all(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.trainings == (1 << 14) - 1
+    assert peak < table.values.nbytes + BATCH_PEAK_MULTIPLE * game.BATCH_FLOATS * 8
+
+
 @pytest.mark.parametrize("noise", [12, 66])
 def test_first_score_memory_is_bounded_by_the_tables(banknote, noise):
     """The first `score` call on a test set builds its term tables: its peak
@@ -830,7 +937,7 @@ def test_single_class_test_set_is_refused_when_the_engine_is_built(banknote_spli
 
 def test_exact_game_checks_its_test_labels_once(banknote, monkeypatch):
     """Every label check reads `test.labels`.  An exact AUC game at n = 12
-    makes 219 sweeps and reads the labels once, when its engine is built."""
+    makes 171 sweeps and reads the labels once, when its engine is built."""
     train, test = banknote_with_noise(banknote, 8)
     reads = []
 
@@ -844,7 +951,7 @@ def test_exact_game_checks_its_test_labels_once(banknote, monkeypatch):
     reads.clear()       # the reads that checked the dataset itself
     sweeps = count_sweeps(monkeypatch)
     evaluate_all(GameSpec(Target.auc(), train, counted))
-    assert len(sweeps) == 219
+    assert len(sweeps) == 171
     assert len(reads) == 1
 
 

@@ -970,6 +970,19 @@ def test_small_exact_game_sweeps_once(banknote_split, kind, monkeypatch):
     assert scorer.batches == [(4, 1), (6, 2), (4, 3), (1, 4)]
 
 
+@pytest.mark.parametrize("kind", [AUC, AUPRC, ROC_SLICE, PRC_SLICE])
+def test_small_exact_walk_game_sweeps_once(banknote_split, kind, swept_batches):
+    """The walk's blocks of banknote's 15 coalitions are swept at once too,
+    on the default grid as well."""
+    train, test = banknote_split
+    spec = GameSpec(Target(kind), train, test, Strategy.INTERPOLATION)
+    if kind in (AUC, AUPRC):
+        evaluate_all(spec)
+    else:
+        evaluate_slices(spec, default_grid())
+    assert [len(batch.ranked) for batch in swept_batches] == [15]
+
+
 def test_merged_sweeps_keep_the_score_batches(banknote, monkeypatch):
     """Sweeping several chunks at once changes no `score` call: each size's
     coalitions are scored in chunks of

@@ -25,8 +25,8 @@ labels once, highest score first, and derives the rest from that:
   a row with ties keeps the last point of each tied group and repeats its end
   point after it.  An area-only game never builds them.
 
-`roc_curves` / `pr_curves` give each row's curve as views of those arrays, and
-`roc_from_scores` / `pr_from_scores` are their one-row case.
+`CurveBatch.rows` gives each row's (x, y, area) as views of those arrays, and
+`roc_from_scores` / `pr_from_scores` wrap the one row of a one-row batch.
 
 `CurveBatch.estimate`, `estimate_tpr` and `estimate_precision` answer "what
 is the curve's value at this abscissa" under the three bracketing strategies,
@@ -332,24 +332,14 @@ def pr_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
     return sweeper(labels, roc=False)(scores)
 
 
-def roc_curves(scores: np.ndarray, labels: np.ndarray) -> list[RocCurve]:
-    """The ROC curve of each row of `scores` (M, rows); see `roc_batch`."""
-    return [RocCurve(*row) for row in roc_batch(scores, labels).rows()]
-
-
-def pr_curves(scores: np.ndarray, labels: np.ndarray) -> list[PrCurve]:
-    """The PR curve of each row of `scores` (M, rows); see `pr_batch`."""
-    return [PrCurve(*row) for row in pr_batch(scores, labels).rows()]
-
-
 def roc_from_scores(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """Threshold-sweep ROC curve with endpoints (0,0) and (1,1)."""
-    return roc_curves(np.asarray(scores)[np.newaxis], labels)[0]
+    return RocCurve(*roc_batch(np.asarray(scores)[np.newaxis], labels).rows()[0])
 
 
 def pr_from_scores(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
     """Threshold-sweep PR curve; see `pr_batch`."""
-    return pr_curves(np.asarray(scores)[np.newaxis], labels)[0]
+    return PrCurve(*pr_batch(np.asarray(scores)[np.newaxis], labels).rows()[0])
 
 
 def _bracket(levels, counts, x, y, q: np.ndarray, s: Strategy) -> np.ndarray:

@@ -11,7 +11,9 @@ payoffs from their swept curves.  Given masks are scored in batches by size
 through the scorer's `score`.  An exact game, which asks for the whole
 lattice, reads a `TrainedModel`'s scores from the model's rank-order walk
 (`model.lattice_scores`) instead; any other scorer is scored in batches.
-Both paths give the same payoffs, warnings and counts, bit for bit.
+Both sources feed one sweep loop, so they give the same payoffs, warnings
+and counts, bit for bit.  `packed` is the one greedy packer of blocks under
+a budget: the engine's sweeps and the Monte-Carlo Shapley solves use it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from operator import methodcaller
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -211,10 +212,10 @@ class PayoffEngine:
     the engine is bound to: none for an area target, the target's own, or a
     grid; it is zero if its scores are not all finite.  `payoffs` scores the given
     coalitions in chunks of one size, one `score` call each, or the whole
-    lattice of a `TrainedModel` by its walk, and sweeps consecutive chunks
-    or walk blocks together into one `CurveBatch`, whose areas and operating
-    points give the payoffs of all its rows at once; nothing is kept between
-    calls.
+    lattice of a `TrainedModel` by its walk.  Either source yields
+    (columns, scores) blocks into one loop, which `packed` them into sweeps:
+    each sweep is one `CurveBatch`, whose areas and operating points give the
+    payoffs of all its rows at once.  Nothing is kept between calls.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -242,120 +243,85 @@ class PayoffEngine:
         """The (1 + abscissae, len(masks)) payoff columns of `masks`, Python
         ints, in order; mask 0, the empty coalition, gets a zero column unscored.
 
-        The other masks are grouped by size k, sizes in the order they first
-        appear, and scored in chunks of at most
+        The other masks are grouped by size k, sizes ascending, each size's
+        masks in the order given, and scored in chunks of at most
         BATCH_FLOATS // (test rows × (k + SWEEP_FLOATS)) coalitions, at least
-        one each.  Consecutive chunks, of one size or several, are swept
-        together while the sweep's test rows × SWEEP_FLOATS + abscissae ×
-        BRACKET_FLOATS floats per coalition fit BATCH_FLOATS; a chunk that
-        alone does not is swept alone.  That bounds the floats a batch holds
-        while it is scored and swept.  A repeated mask is scored again.
-
-        The whole lattice in mask order, `range(1 << n)`, of a game whose
-        scorer is a `TrainedModel` is scored by the model's rank-order walk
-        instead (`model.lattice_scores`, at most n blocks that fit
-        BATCH_FLOATS), its blocks swept under the same budget: the same
-        payoffs, bit for bit, without one gather per coalition.
+        one each.  The whole lattice in mask order, `range(1 << n)`, of a game
+        whose scorer is a `TrainedModel` is scored by the model's rank-order
+        walk instead (`model.lattice_scores`, at most n blocks that fit
+        BATCH_FLOATS): the same payoffs, bit for bit, without one gather per
+        coalition.  Consecutive chunks or walk blocks are `packed` into one
+        sweep while its test rows × SWEEP_FLOATS + abscissae × BRACKET_FLOATS
+        floats per coalition fit BATCH_FLOATS; one that alone does not is
+        swept alone.  That bounds the floats a batch holds while it is scored
+        and swept.  A repeated mask is scored again.  The degenerate
+        coalitions are warned of by size, then column.
         """
         n = self.spec.n
-        if (isinstance(masks, range) and masks == range(1 << n)
-                and isinstance(self.scorer, TrainedModel)):
-            return self._lattice()
         for mask in (min(masks, default=0), max(masks, default=0)):
             if mask >> n:       # a negative mask shifts to -1
                 raise DataError(f"mask {mask:#x} has bits beyond arity {n}")
-        sizes = np.fromiter(map(int.bit_count, masks), dtype=np.min_scalar_type(n),
-                            count=len(masks))
+        if (isinstance(masks, range) and masks == range(1 << n)
+                and isinstance(self.scorer, TrainedModel)):
+            blocks = lattice_scores(self.scorer, self.spec.test, BATCH_FLOATS)
+        else:
+            blocks = self._chunks(masks)
+        per_coalition = (self.spec.test.n_rows * SWEEP_FLOATS
+                         + self.abscissae.size * BRACKET_FLOATS)
         # Raw readouts first, made payoffs in place once every sweep is read.
         out = np.zeros((1 + self.abscissae.size, len(masks)))
         valid = np.zeros(len(masks), dtype=bool)
-        degenerate = []
-        for chunks in self._merged(self._chunks(sizes)):
-            columns = np.concatenate(chunks)
-            swept = list(map(masks.__getitem__, columns.tolist()))
-            rows, finite = self._read(self._score(swept, [chunk.size for chunk in chunks]))
-            out[:, columns], valid[columns] = rows, finite
-            degenerate += [swept[i] for i in np.flatnonzero(~finite).tolist()]
-        grand = np.flatnonzero(sizes == n)
-        if n and grand.size:
-            self.grand_readout = out[:, grand[-1]].copy()
-        return self._payoffs(out, valid, degenerate)
-
-    def _lattice(self) -> np.ndarray:
-        """`payoffs(range(1 << n))` from the blocks of the model's walk; the
-        degenerate coalitions are warned of in the order `payoffs` scores
-        them, by size, then mask."""
-        n = self.spec.n
-        out = np.zeros((1 + self.abscissae.size, 1 << n))
-        valid = np.zeros(1 << n, dtype=bool)
-        blocks = lattice_scores(self.scorer, self.spec.test, BATCH_FLOATS)
-        for sweep in self._merged(blocks, lambda block: block[0].size):
-            masks = np.concatenate([masks for masks, _ in sweep])
-            out[:, masks], valid[masks] = self._read(
-                np.concatenate([scores for _, scores in sweep]))
-        if n:
+        for sweep in packed(blocks, lambda block: block[0].size * per_coalition,
+                            BATCH_FLOATS):
+            columns = np.concatenate([columns for columns, _ in sweep])
+            out[:, columns], valid[columns] = self._read(sweep)
+        if n and len(masks) and masks[-1] == (1 << n) - 1:
             self.grand_readout = out[:, -1].copy()
-        degenerate = sorted((np.flatnonzero(~valid[1:]) + 1).tolist(), key=int.bit_count)
-        return self._payoffs(out, valid, degenerate)
+        out[0] -= 0.5
+        out[1:] -= self.baselines[:, np.newaxis]
+        out[:, ~valid] = 0.0
+        # Mask 0 is not scored; a stable sort keeps each size's columns in order.
+        degenerate = [masks[column] for column in np.flatnonzero(~valid).tolist()]
+        for mask in sorted(filter(None, degenerate), key=int.bit_count):
+            warnings.warn(
+                f"coalition {mask:#x} has no valid curve "
+                "(scores contain non-finite values); payoff set to 0",
+                DegenerateCurveWarning,
+                stacklevel=_outside_stacklevel(),
+            )
+        return out
 
-    def _chunks(self, sizes: np.ndarray):
-        """The columns of the non-empty masks of `sizes` (their popcounts), as
-        scoring chunks of one size each."""
-        rows = self.spec.test.n_rows
-        order = np.argsort(sizes, kind="stable")
-        counts = np.bincount(sizes)
-        starts = (np.cumsum(counts) - counts).tolist()
-        # Sizes in the order they first appear: order[starts[k]] is the first
-        # mask of size k.  Size 0, the empty coalition, is not scored.
-        present = (np.flatnonzero(counts[1:]) + 1).tolist()
-        present.sort(key=lambda k: order[starts[k]])
-        for k in present:
-            group = order[starts[k]:starts[k] + counts[k]]
-            step = max(1, BATCH_FLOATS // (rows * (k + SWEEP_FLOATS)))
-            for start in range(0, group.size, step):
-                yield group[start:start + step]
-
-    def _merged(self, chunks, coalitions=len):
-        """Consecutive `chunks`, as lists, one list per sweep: a sweep takes
-        chunks while their test rows × SWEEP_FLOATS + abscissae ×
-        BRACKET_FLOATS floats per coalition fit BATCH_FLOATS, and a chunk that
-        alone does not is swept alone.  `coalitions` counts a chunk's."""
-        per_coalition = (self.spec.test.n_rows * SWEEP_FLOATS
-                         + self.abscissae.size * BRACKET_FLOATS)
-        sweep, floats = [], 0
-        for chunk in chunks:
-            size = coalitions(chunk) * per_coalition
-            if sweep and floats + size > BATCH_FLOATS:
-                yield sweep
-                sweep, floats = [], 0
-            sweep.append(chunk)
-            floats += size
-        if sweep:
-            yield sweep
-
-    def _score(self, masks: list[int], chunks: list[int]) -> np.ndarray:
-        """The (M, test rows) scores of M coalitions, scored in consecutive
-        chunks of the given lengths, each of one size."""
+    def _chunks(self, masks: Sequence[int]):
+        """The non-empty `masks` scored as (columns, scores) blocks: the
+        columns of one chunk of masks of one size, sizes ascending, and their
+        (chunk, test rows) scores from one `score` call."""
         spec = self.spec
+        rows = spec.test.n_rows
         # Masks are Python ints of any width: unpack them bytewise, not as int64.
         width = (spec.n + 7) // 8
-        raw = b"".join(map(methodcaller("to_bytes", width, "little"), masks))
-        bits = np.unpackbits(
-            np.frombuffer(raw, np.uint8).reshape(len(masks), width),
-            axis=1, bitorder="little",
-        )
-        scores = np.empty((len(masks), spec.test.n_rows))
-        start = 0
-        for size in chunks:
-            columns = np.nonzero(bits[start:start + size])[1].reshape(size, -1)
-            scores[start:start + size] = self.scorer.score(spec.test, columns)
-            start += size
-        return scores
+        sizes = np.fromiter(map(int.bit_count, masks), dtype=np.min_scalar_type(spec.n),
+                            count=len(masks))
+        order = np.argsort(sizes, kind="stable")
+        counts = np.bincount(sizes, minlength=1).tolist()
+        start = counts[0]       # size 0, the empty coalition, is not scored
+        for k in range(1, len(counts)):
+            group = order[start:start + counts[k]]
+            start += counts[k]
+            step = max(1, BATCH_FLOATS // (rows * (k + SWEEP_FLOATS)))
+            for first in range(0, group.size, step):
+                columns = group[first:first + step]
+                raw = b"".join(masks[i].to_bytes(width, "little") for i in columns.tolist())
+                bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(columns.size, width),
+                                     axis=1, bitorder="little")
+                yield columns, self.scorer.score(spec.test, np.nonzero(bits)[1].reshape(-1, k))
 
-    def _read(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (1 + abscissae, M) raw readouts of M coalitions from their
-        (M, test rows) scores, swept at once, and which of them have all
-        their scores finite."""
+    def _read(self, sweep: list) -> tuple[np.ndarray, np.ndarray]:
+        """The (1 + abscissae, M) raw readouts of the M coalitions of a
+        sweep's (columns, scores) blocks, swept at once, and which of them
+        have all their scores finite.  The sweep is emptied once its scores
+        are joined, so they are held once while they are swept."""
+        scores = np.concatenate([scores for _, scores in sweep])
+        sweep.clear()
         self.trainings += len(scores)
         curves = self._sweep(scores)
         rows = np.empty((1 + self.abscissae.size, len(scores)))
@@ -364,21 +330,26 @@ class PayoffEngine:
             rows[1:] = curves.estimate(self.abscissae, self.spec.strategy).T
         return rows, np.isfinite(scores).all(axis=1)
 
-    def _payoffs(self, out: np.ndarray, valid: np.ndarray, degenerate: list[int]) -> np.ndarray:
-        """Raw readouts `out` made payoffs in place: the baselines subtracted
-        and the columns not `valid` zeroed; one DegenerateCurveWarning for each
-        of the `degenerate` masks, in order."""
-        out[0] -= 0.5
-        out[1:] -= self.baselines[:, np.newaxis]
-        out[:, ~valid] = 0.0
-        for mask in degenerate:
-            warnings.warn(
-                f"coalition {mask:#x} has no valid curve "
-                "(scores contain non-finite values); payoff set to 0",
-                DegenerateCurveWarning,
-                stacklevel=_outside_stacklevel(),
-            )
-        return out
+
+def packed(items, size, budget):
+    """Consecutive `items`, as lists, grouped greedily while their `size`s
+    add up to at most `budget`.  A list is handed on as soon as it is full,
+    and an item that alone does not fit is a list of its own.  Only its list
+    holds an item, so a consumer that empties a list frees its items."""
+    block, total = [], 0
+    for item in items:
+        weight = size(item)
+        if block and total + weight > budget:
+            yield block
+            block, total = [], 0
+        block.append(item)
+        del item
+        total += weight
+        if total >= budget:
+            yield block
+            block, total = [], 0
+    if block:
+        yield block
 
 
 def _outside_stacklevel() -> int:

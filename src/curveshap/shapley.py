@@ -123,7 +123,7 @@ def _shapley_map(payoffs) -> np.ndarray:
     step = max(1, SOLVE_FLOATS >> n)
     values = np.empty((n, m))
     for start in range(0, m, step):
-        chunk = np.stack(payoffs[start:start + step])
+        chunk = np.asarray(payoffs[start:start + step])
         for i in range(n):
             without = masks[(masks >> i & 1) == 0]
             # np.take keeps rows C-contiguous and of one length, and one np.sum

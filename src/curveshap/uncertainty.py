@@ -13,14 +13,16 @@ its rows without checking them again.  When the curve band's family has a
 slice game that interpolates on the grid, the band row is that game's raw
 readout of the grand coalition, read from the game's own sweep; otherwise the
 full feature set is scored and swept once more for it.  The payoff matrices
-of consecutive iterations are solved together, in blocks of at most
-BLOCK_PAYOFFS payoffs, one Shapley map per block; each iteration's
-attributions still pass their own efficiency checks.
+of consecutive games, of both curve families and across iterations, are
+solved together, in blocks of at most BLOCK_PAYOFFS payoffs packed by
+`game.packed`, one Shapley map per block; each iteration's attributions
+still pass their own efficiency checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ from .shapley import SOLVE_FLOATS, Attribution, CurveAttribution, _shapley_map
 from . import game
 
 # Most payoffs that one Shapley solve of `mc_bands` takes, from the payoff
-# matrices of consecutive iterations.  Held matrices add to the peak memory,
+# matrices of consecutive games.  Held matrices add to the peak memory,
 # so a block stays well below SOLVE_FLOATS.
 BLOCK_PAYOFFS = SOLVE_FLOATS // 8
 
@@ -160,10 +162,12 @@ def mc_bands(
     readout of the grand coalition on the grid, read from the game's sweep;
     otherwise the full feature set is scored and swept apart.
 
-    Each family's payoff matrices are held until they reach BLOCK_PAYOFFS
-    payoffs and solved together, in one Shapley map per block, which gives
-    every matrix the bits of its own; a larger matrix is solved alone.  Each
-    iteration's attributions then pass their efficiency checks one by one.
+    The iterations yield their games' payoff matrices, ROC and PR alike, in
+    one stream.  `game.packed` groups consecutive matrices into blocks of at
+    most BLOCK_PAYOFFS payoffs, a larger matrix alone, and hands each block
+    on as soon as it is full.  One Shapley map per block gives every matrix
+    the bits of its own.  Each iteration's attributions then pass their
+    efficiency checks one by one.
     """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
@@ -180,14 +184,30 @@ def mc_bands(
         # per feature and then the achieved total for an area target.
         stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
                            else (cfg.iterations, n + 1)) for t in targets]
-    # Per family: the (iteration, baselines, payoff matrix) awaiting a solve.
-    held = {family: [] for family in games}
 
-    def solve(family: bool) -> None:
-        block = held[family]
-        values = _shapley_map(np.concatenate([matrix for _, _, matrix in block]))
+    def iterate(k: int):
+        """Iteration k's games, as (k, family, baselines, payoff matrix).  A
+        generator of its own, so this split's model, term tables and games are
+        freed before the next split builds its own."""
+        train, test = split(d, cfg.split_spec(k))
+        model = train_gnb(train)
+        if not shared:
+            curve = sweeper(test.labels, roc)(model.score(test)[np.newaxis])
+            rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
+        for family, target in games.items():
+            spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
+            engine, matrix = game._payoff_matrix(spec, grid if target.is_slice else None)
+            if shared and family == roc:
+                rows[k] = engine.grand_readout[1:]
+            yield k, family, engine.baselines, matrix
+
+    def solve(block: list) -> None:
+        """Solve a block of (k, family, baselines, payoff matrix) games into
+        their targets' stacks, and empty it, so that no solved matrix is held
+        while the next games are computed."""
+        values = _shapley_map(np.concatenate([matrix for *_, matrix in block]))
         start = 0
-        for k, baselines, matrix in block:
+        for k, family, baselines, matrix in block:
             solved = values[:, start:start + len(matrix)]
             start += len(matrix)
             for target, stack in zip(targets, stacks):
@@ -206,34 +226,9 @@ def mc_bands(
                     stack[k] = np.append(attr.values, attr.total)
         block.clear()
 
-    def hold(family: bool, k: int, baselines: np.ndarray, matrix: np.ndarray) -> None:
-        block = held[family]
-        if block and sum(m.size for _, _, m in block) + matrix.size > BLOCK_PAYOFFS:
-            solve(family)
-        block.append((k, baselines, matrix))
-        if sum(m.size for _, _, m in block) >= BLOCK_PAYOFFS:
-            solve(family)
-
-    def iterate(k: int) -> None:
-        # A function of its own, so this split's model, term tables and games
-        # are freed before the next split builds its own.
-        train, test = split(d, cfg.split_spec(k))
-        model = train_gnb(train)
-        if not shared:
-            curve = sweeper(test.labels, roc)(model.score(test)[np.newaxis])
-            rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
-        for family, target in games.items():
-            spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
-            engine, matrix = game._payoff_matrix(spec, grid if target.is_slice else None)
-            if shared and family == roc:
-                rows[k] = engine.grand_readout[1:]
-            hold(family, k, engine.baselines, matrix)
-
-    for k in range(cfg.iterations):
-        iterate(k)
-    for family in games:
-        if held[family]:
-            solve(family)
+    matrices = chain.from_iterable(map(iterate, range(cfg.iterations)))
+    for block in game.packed(matrices, lambda item: item[3].size, BLOCK_PAYOFFS):
+        solve(block)
     band = BandedSeries(grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
     bands = [
         McCurveAttribution(d.feature_names, grid, stack.mean(axis=0), stack.std(axis=0),

@@ -13,10 +13,8 @@ from curveshap.curves import (
     estimate_precision,
     estimate_tpr,
     pr_batch,
-    pr_curves,
     pr_from_scores,
     roc_batch,
-    roc_curves,
     roc_from_scores,
     trapezoid,
 )
@@ -267,15 +265,15 @@ def test_batch_rows_equal_single_rows(seed):
     scores = rng.random((int(rng.integers(1, 8)), rows))
     scores[::2] = np.round(scores[::2], 1)   # ties in every other row
     for batch, single, fields in (
-        (roc_curves, roc_from_scores, ("fpr", "tpr", "auc")),
-        (pr_curves, pr_from_scores, ("recall", "precision", "auprc")),
+        (roc_batch, roc_from_scores, ("fpr", "tpr", "auc")),
+        (pr_batch, pr_from_scores, ("recall", "precision", "auprc")),
     ):
-        for row, curve in zip(scores, batch(scores, labels)):
+        for row, curve in zip(scores, batch(scores, labels).rows()):
             alone = single(row, labels)
-            for field in fields:
-                np.testing.assert_array_equal(getattr(curve, field), getattr(alone, field))
-        for row, curve in zip(scores, roc_curves(scores, labels)):
-            assert abs(curve.auc - auc_rank_statistic(row, labels)) < 1e-12
+            for got, field in zip(curve, fields):
+                np.testing.assert_array_equal(got, getattr(alone, field))
+        for row, (_, _, auc) in zip(scores, roc_batch(scores, labels).rows()):
+            assert abs(auc - auc_rank_statistic(row, labels)) < 1e-12
 
 
 @settings(max_examples=40)
@@ -319,14 +317,10 @@ def test_heavy_ties_match_stable_sweep(seed, decimals):
     labels[:2] = [0, 1]
     scores = rng.random((6, 800)) ** 2
     scores[1:] = np.round(scores[1:], decimals)   # row 0 stays tie-free
-    for family, batch, fields in (
-        ("roc", roc_curves, ("fpr", "tpr", "auc")),
-        ("pr", pr_curves, ("recall", "precision", "auprc")),
-    ):
-        for row, curve in zip(scores, batch(scores, labels)):
-            for field, want in zip(fields, stable_sweep_curve(row, labels, family)):
-                got = np.asarray(getattr(curve, field))
-                np.testing.assert_array_equal(got.view(np.int64),
+    for family, batch in (("roc", roc_batch), ("pr", pr_batch)):
+        for row, curve in zip(scores, batch(scores, labels).rows()):
+            for got, want in zip(curve, stable_sweep_curve(row, labels, family)):
+                np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                               np.asarray(want).view(np.int64))
 
 

@@ -1012,12 +1012,41 @@ def test_merged_sweeps_keep_the_score_batches(banknote, monkeypatch):
             == [row for c in single.columns for row in c.tolist()])
 
 
-def test_degenerate_warnings_follow_the_first_appearance_of_sizes(banknote_split):
-    """Sizes are scored in the order they first appear among the masks asked
-    for, each size's masks in the order given."""
+def test_degenerate_warnings_follow_ascending_sizes(banknote_split):
+    """Degenerate coalitions are warned of by size, ascending, each size's
+    masks in the order given."""
     train, test = banknote_split
     engine = PayoffEngine(GameSpec(Target.auc(), train, test, fit=fit_nan))
     masks = [0b0011, 0, 0b0100, 0b0101, 0b1111, 0b0001, 0b0011]
     assert degenerate_masks(lambda: engine.payoffs(masks)) == [
-        0b0011, 0b0101, 0b0011, 0b0100, 0b0001, 0b1111,
+        0b0100, 0b0001, 0b0011, 0b0101, 0b0011, 0b1111,
     ]
+
+
+def test_packed_groups_consecutive_items_under_the_budget():
+    """Items are grouped in order while their sizes fit the budget: an exact
+    fit is one block, and an item that alone does not fit is a block of its
+    own."""
+    assert list(game.packed([], len, 4)) == []
+    assert list(game.packed(["ab", "cd"], len, 4)) == [["ab", "cd"]]
+    assert list(game.packed(["abc", "de", "f"], len, 4)) == [["abc"], ["de", "f"]]
+    assert list(game.packed(["a", "bcdef", "g", "h"], len, 4)) == [["a"], ["bcdef"], ["g", "h"]]
+
+
+def test_packed_hands_on_a_full_block_before_drawing_the_next_item():
+    """A block that reaches the budget is handed on at once, so no finished
+    block waits while the next item is made."""
+    drawn = []
+
+    def items():
+        for item in ["ab", "cd", "e", "fghij", "k"]:
+            drawn.append(item)
+            yield item
+
+    blocks = game.packed(items(), len, 4)
+    assert next(blocks) == ["ab", "cd"]
+    assert drawn == ["ab", "cd"]
+    assert next(blocks) == ["e"]
+    assert next(blocks) == ["fghij"]
+    assert drawn == ["ab", "cd", "e", "fghij"]
+    assert list(blocks) == [["k"]]

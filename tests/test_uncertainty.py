@@ -20,7 +20,7 @@ from curveshap.uncertainty import (
     mc_bands,
     mc_curves,
 )
-from curveshap import model, uncertainty
+from curveshap import game, model, uncertainty
 
 from conftest import make_blobs, points_built
 
@@ -288,6 +288,50 @@ class TestMcBands:
         assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
         mc_bands(wide, McConfig(iterations=3), "roc", [cs.Target.roc_slice(0.0)])
         assert [call.shape for call in calls] == [(1 + cfg.grid.size, 1 << 7)] * 3
+
+    def test_roc_and_pr_matrices_share_blocks(self, banknote, monkeypatch):
+        """The ROC and the PR game of each iteration feed one stream of
+        matrices, so one Shapley map solves both families' matrices."""
+        calls = []
+
+        def recording(payoffs):
+            calls.append(np.array(payoffs))
+            return shapley_map(payoffs)
+
+        shapley_map = uncertainty._shapley_map
+        monkeypatch.setattr(uncertainty, "_shapley_map", recording)
+        cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
+        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.prc_slice(0.3)])
+        # Per iteration: the AUC game's one row, then the PR slice game's
+        # area row and 11 slice rows.
+        assert [call.shape for call in calls] == [(3 * (1 + 1 + 11), 16)]
+
+    def test_a_full_block_is_solved_before_the_next_game(self, monkeypatch):
+        """When every matrix alone fills a block, iteration k is solved
+        before iteration k + 1's payoff matrix is built, and no solved matrix
+        is still held then: the packer holds no finished block while the
+        next game is computed."""
+        events, matrices = [], []
+        shapley_map, payoff_matrix = uncertainty._shapley_map, game._payoff_matrix
+
+        def solving(payoffs):
+            events.append("solve")
+            return shapley_map(payoffs)
+
+        def building(spec, grid):
+            events.append("build")
+            assert all(ref() is None for ref in matrices)
+            engine, matrix = payoff_matrix(spec, grid)
+            matrices.append(weakref.ref(matrix))
+            return engine, matrix
+
+        monkeypatch.setattr(uncertainty, "_shapley_map", solving)
+        monkeypatch.setattr(game, "_payoff_matrix", building)
+        wide = make_blobs(np.random.default_rng(1), n_rows=80, n_features=7)
+        cfg = McConfig(iterations=3)
+        assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
+        mc_bands(wide, cfg, "roc", [cs.Target.roc_slice(0.0)])
+        assert events == ["build", "solve"] * 3
 
     def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
         """An area and a slice target of one curve family share one game, so

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,6 +36,9 @@ BANKNOTE_SHA256 = "22ef6162c8f700703856c961d42b40f1aa5d915ce41546429cd803206f82d
 
 # Characters that make a CSV cell need quotes under csv.QUOTE_MINIMAL.
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+# Rows of a dataset CSV formatted and written at a time.
+WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +149,12 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     hold 0 or 1.  Reported row numbers are 1-based file line numbers (the
     header is line 1).  The file is UTF-8, with or without a byte-order mark;
     undecodable or unparsable text is a :class:`DataError`.
+
+    Each row's cells go through ``float()`` straight into one float64 buffer
+    and its label into one byte buffer, so the table is held once, not as a
+    Python float per cell.  A row that fails any check is read again by
+    `_parse_row`, which raises the error of its first bad cell in column
+    order.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -161,8 +171,8 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         label_idx = header.index(label_column)
         names = [n for i, n in enumerate(header) if i != label_idx]
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
+        values = array("d")     # feature cells, row after row
+        labels = bytearray()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -170,26 +180,48 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
                 raise DataError(
                     f"row {line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            values = []
-            for i, cell in enumerate(row):
-                text = cell.strip()
-                if i == label_idx:
-                    label = _parse_label(text, line_no)
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise NonNumericCell(line_no, header[i], text) from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(line_no, header[i], text)
-                values.append(value)
-            rows.append(values)
+            try:
+                cells = list(map(float, row))
+            except ValueError:
+                cells = None
+            # float() strips the whitespace that str.strip() does, so a row
+            # that passes here holds the values _parse_row would return.  A
+            # sum is finite only if every cell is; an overflowing sum of
+            # finite cells just takes the slow path.
+            if (cells is None or cells[label_idx] not in (0.0, 1.0)
+                    or not math.isfinite(sum(cells))):
+                label, cells = _parse_row(row, header, label_idx, line_no)
+            else:
+                label = int(cells.pop(label_idx))
+            values.extend(cells)
             labels.append(label)
 
-    if not rows:
+    if not labels:
         raise EmptyDataset(f"{path} has no data rows")
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    return Dataset(features, np.array(labels), tuple(names))
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
+    return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(names))
+
+
+def _parse_row(
+    row: list[str], header: list[str], label_idx: int, line_no: int
+) -> tuple[int, list[float]]:
+    """The label and feature values of one data row of the header's width,
+    each cell stripped and checked in column order: the first bad cell raises
+    :class:`NonBinaryLabel` or :class:`NonNumericCell`."""
+    values = []
+    for i, cell in enumerate(row):
+        text = cell.strip()
+        if i == label_idx:
+            label = _parse_label(text, line_no)
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise NonNumericCell(line_no, header[i], text) from None
+        if not math.isfinite(value):
+            raise NonNumericCell(line_no, header[i], text)
+        values.append(value)
+    return label, values
 
 
 def _csv_rows(handle, path: Path):
@@ -315,13 +347,25 @@ def duplicate_feature(d: Dataset, index: int, new_name: str) -> Dataset:
 
 
 def write_dataset_csv(d: Dataset, path: str | Path, label_column: str = "class") -> None:
-    """Write a dataset back to headered CSV with exact value round trips."""
+    """Write a dataset back to headered CSV with exact value round trips.
+
+    The lines are written WRITE_ROWS rows at a time, so the writer holds one
+    chunk of text, never the whole file.
+    """
     if label_column in d.feature_names:
         raise DuplicateFeatureName(label_column)
-    lines = [",".join(map(csv_cell, (*d.feature_names, label_column)))]
-    for row, label in zip(d.features, d.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    write_text(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield ",".join(map(csv_cell, (*d.feature_names, label_column))) + "\n"
+        for first in range(0, d.n_rows, WRITE_ROWS):
+            rows = d.features[first:first + WRITE_ROWS].tolist()
+            labels = d.labels[first:first + WRITE_ROWS].tolist()
+            yield "".join([
+                ",".join([*map(repr, row), str(label)]) + "\n"
+                for row, label in zip(rows, labels)
+            ])
+
+    write_text(path, chunks())
 
 
 def banknote_path() -> Path:

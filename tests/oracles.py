@@ -4,12 +4,15 @@ These deliberately avoid the package's own algorithms: AUC comes from
 brute-force pair counting, Shapley values from averaging marginals over
 every permutation.  They are slow and obviously correct.  The scoring and
 sweep references restate one lane or one row at a time the formulas that the
-package's batched code must match bit for bit.
+package's batched code must match bit for bit.  The CSV reference reads
+every cell in one Python loop, the checks the buffered loader must match.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 from math import factorial, fsum
 
 import numpy as np
@@ -140,3 +143,70 @@ def bracket_value(x, y, q: float, strategy: str) -> float:
     if x[a] == x[b]:
         return 0.5 * (y[a] + y[b])
     return y[a] + (y[b] - y[a]) * (q - x[a]) / (x[b] - x[a])
+
+
+def reference_load_csv(path, label_column: str):
+    """A headered CSV read one cell at a time: each non-label cell stripped,
+    parsed by float() and checked finite, each label parsed as 0 or 1, in
+    column order, and the rows kept as lists of Python floats until one final
+    array.  Raises the package's error for the first bad cell."""
+    from curveshap.dataset import Dataset
+    from curveshap.errors import (
+        DataError, DuplicateFeatureName, EmptyDataset, MissingColumn,
+        NonBinaryLabel, NonNumericCell,
+    )
+
+    def parse_label(text, line_no):
+        try:
+            value = float(text)
+        except ValueError:
+            raise NonBinaryLabel(line_no, text) from None
+        if value == 0.0:
+            return 0
+        if value == 1.0:
+            return 1
+        raise NonBinaryLabel(line_no, text)
+
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyDataset(f"{path} is empty") from None
+        header = [name.strip() for name in header]
+        if label_column not in header:
+            raise MissingColumn(label_column)
+        if header.count(label_column) > 1:
+            raise DuplicateFeatureName(label_column)
+        label_idx = header.index(label_column)
+        names = [n for i, n in enumerate(header) if i != label_idx]
+
+        rows: list[list[float]] = []
+        labels: list[int] = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"row {line_no}: expected {len(header)} cells, got {len(row)}"
+                )
+            values = []
+            for i, cell in enumerate(row):
+                text = cell.strip()
+                if i == label_idx:
+                    label = parse_label(text, line_no)
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise NonNumericCell(line_no, header[i], text) from None
+                if not math.isfinite(value):
+                    raise NonNumericCell(line_no, header[i], text)
+                values.append(value)
+            rows.append(values)
+            labels.append(label)
+
+    if not rows:
+        raise EmptyDataset(f"{path} has no data rows")
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+    return Dataset(features, np.array(labels), tuple(names))

@@ -1,15 +1,17 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import curveshap as cs
-from curveshap import errors
+from curveshap import dataset, errors
 from curveshap.dataset import _take_rows, write_dataset_csv
 
 from conftest import make_blobs
+from oracles import reference_load_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -104,6 +106,107 @@ class TestLoadCsv:
         path = write(tmp_path, "a,y\n1" + "0" * 200_000 + ",0\n2,1\n")
         with pytest.raises(errors.DataError, match="field larger"):
             cs.load_csv(path, "y")
+
+
+# Whitespace that str.strip() and float() both drop: ASCII, and Unicode
+# spaces and separators.
+_SPACES = st.sampled_from(["", " ", "\t", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"])
+_VALID_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "1_0", "+3", ".5", "1e308", "-1e308", "5e-324", "\u0661\u0662"]),
+)
+_BAD_NUMBERS = st.sampled_from(["nan", "-inf", "Infinity", "1e999", "abc", "", "1__0", "0x1"])
+# The simplest label alternates between rows, so that most files hold both
+# classes.
+_VALID_LABELS = [st.sampled_from(["0", "1", "0.0", "1e0", "-0", "+1"]),
+                 st.sampled_from(["1", "0", "1e0", "0.0", "+1", "-0"])]
+_BAD_LABELS = st.sampled_from(["2", "0.5", "nan", "inf", "yes", "", "1_0"])
+
+
+def _mostly(valid, bad):
+    """`valid` nine draws in ten, else `bad`, so that most small files parse."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else valid)
+
+
+@st.composite
+def csv_texts(draw):
+    """A small CSV text with a label column `y`: cells with whitespace around
+    them, finite and non-finite floats, non-numeric cells and labels, short
+    and long rows, blank lines, a byte-order mark or none."""
+    width = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, width - 1))
+    names = draw(st.lists(st.sampled_from(["a", "b", " c", "c"]), min_size=width - 1,
+                          max_size=width - 1))
+    header = names[:label_idx] + [draw(st.sampled_from(["y", " y"]))] + names[label_idx:]
+    lines = [",".join(header)]
+    for r in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 7)) == 7:
+            lines.append("")
+            continue
+        n_cells = draw(st.sampled_from([width] * 12 + [width - 1, width + 1]))
+        cells = []
+        for i in range(n_cells):
+            token = draw(_mostly(_VALID_LABELS[r % 2], _BAD_LABELS) if i == label_idx
+                         else _mostly(_VALID_NUMBERS, _BAD_NUMBERS))
+            cells.append(draw(_SPACES) + token + draw(_SPACES))
+        lines.append(",".join(cells))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _load_outcome(load, path):
+    """What `load` makes of the file: the dataset's features, labels and
+    names, bit for bit, or the class and message of the error it raised."""
+    try:
+        d = load(path, "y")
+    except errors.CurveshapError as exc:
+        return type(exc), str(exc)
+    return (d.features.shape, d.features.dtype, d.features.tobytes(),
+            d.labels.dtype, d.labels.tobytes(), d.feature_names)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity")
+
+
+@settings(max_examples=400)
+@given(text=csv_texts())
+@example(text="a,y\n1.5,0\n-0.0,1\n")
+@example(text="\ufeffy\n0\n\n1\n")                          # label-only file, blank line
+@example(text="a,y,b\n1,0,2\n1e999,1,2\n")                    # inf cell
+@example(text="a,y,b\n1,0,2\nx,2,2\n")                       # bad number before a bad label
+@example(text="a,y,b\n1,0,2\n1,2,x\n")                       # bad label before a bad number
+@example(text="a,y\n1,0\noops,1\n1,7\n")                     # errors in two rows
+@example(text="a,y\n1,0\n2\n")                               # short row
+@example(text="a,y\n1,0\n2,1,3\n")                           # long row
+@example(text="a,y\n1e308,0\n1e308,1\n")
+@example(text="a,b,y\n1e308,1e308,0\n-1e308,2,1\n")          # finite cells, infinite sum
+@example(text="a,y\n\u20031_0\xa0,0\n\t2 ,1\n")
+def test_load_csv_matches_the_per_cell_reference(csv_dir, text):
+    """The buffered loader returns the per-cell loop's features, labels and
+    names bit for bit, or raises its error class with its message."""
+    path = csv_dir / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _load_outcome(cs.load_csv, path) == _load_outcome(reference_load_csv, path)
+
+
+def test_load_csv_memory_is_bounded_by_the_array(tmp_path):
+    """Loading a 10,000 × 30 CSV peaks below twice the bytes of its features
+    array: the cells live in one float64 buffer, not as a Python float each
+    (which peaks at about 5.5 times the array)."""
+    d = make_blobs(np.random.default_rng(7), n_rows=10_000, n_features=30)
+    path = tmp_path / "wide.csv"
+    write_dataset_csv(d, path)
+    tracemalloc.start()
+    try:
+        loaded = cs.load_csv(path, "class")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.features.shape == (10_000, 30)
+    assert peak < 2 * loaded.features.nbytes
 
 
 class TestDatasetValidation:
@@ -323,6 +426,22 @@ class TestRoundTrip:
         back = cs.load_csv(path, "la,bel")
         assert back.feature_names == names
         np.testing.assert_array_equal(back.features, d.features)
+
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path):
+        """Writing 10,000 × 30 values peaks at a few chunks of WRITE_ROWS
+        lines (the chunk's values, lines, text and its encoding), well below
+        the text of the whole file."""
+        d = make_blobs(np.random.default_rng(7), n_rows=10_000, n_features=30)
+        path = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            write_dataset_csv(d, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        chunk = size * dataset.WRITE_ROWS / d.n_rows
+        assert peak < 6 * chunk < size
 
 
 class TestBanknoteFixture:

@@ -264,9 +264,10 @@ class TestMcBands:
         np.testing.assert_array_equal(band.mean, cfg.grid)
 
     def test_shapley_solves_take_blocks_of_iterations(self, banknote, monkeypatch):
-        """Each family's payoff matrices are solved together, at most
-        BLOCK_PAYOFFS payoffs at a time, in iteration order; a matrix of more
-        payoffs is solved alone, one call per iteration."""
+        """The payoff matrices of consecutive games, of both curve families,
+        are solved together, at most BLOCK_PAYOFFS payoffs at a time, in
+        iteration order; a matrix of more payoffs is solved alone, one call
+        per iteration."""
         calls = []
 
         def recording(payoffs):

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 import re
-from array import array
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -152,9 +152,7 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
 
     Each row's cells go through ``float()`` straight into one float64 buffer
     and its label into one byte buffer, so the table is held once, not as a
-    Python float per cell.  A row that fails any check is read again by
-    `_parse_row`, which raises the error of its first bad cell in column
-    order.
+    Python float per cell.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -171,7 +169,10 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         label_idx = header.index(label_column)
         names = [n for i, n in enumerate(header) if i != label_idx]
 
-        values = array("d")     # feature cells, row after row
+        # Feature cells row after row as float64 bytes.  A bytearray, not an
+        # array('d'): loading the array extension raises every run's RSS.
+        row_bytes = struct.Struct(f"{len(names)}d")
+        values = bytearray()
         labels = bytearray()
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -180,48 +181,26 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
                 raise DataError(
                     f"row {line_no}: expected {len(header)} cells, got {len(row)}"
                 )
-            try:
-                cells = list(map(float, row))
-            except ValueError:
-                cells = None
-            # float() strips the whitespace that str.strip() does, so a row
-            # that passes here holds the values _parse_row would return.  A
-            # sum is finite only if every cell is; an overflowing sum of
-            # finite cells just takes the slow path.
-            if (cells is None or cells[label_idx] not in (0.0, 1.0)
-                    or not math.isfinite(sum(cells))):
-                label, cells = _parse_row(row, header, label_idx, line_no)
-            else:
-                label = int(cells.pop(label_idx))
-            values.extend(cells)
+            cells = []
+            for i, cell in enumerate(row):
+                text = cell.strip()
+                if i == label_idx:
+                    label = _parse_label(text, line_no)
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise NonNumericCell(line_no, header[i], text) from None
+                if not math.isfinite(value):
+                    raise NonNumericCell(line_no, header[i], text)
+                cells.append(value)
+            values += row_bytes.pack(*cells)
             labels.append(label)
 
     if not labels:
         raise EmptyDataset(f"{path} has no data rows")
     features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
     return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(names))
-
-
-def _parse_row(
-    row: list[str], header: list[str], label_idx: int, line_no: int
-) -> tuple[int, list[float]]:
-    """The label and feature values of one data row of the header's width,
-    each cell stripped and checked in column order: the first bad cell raises
-    :class:`NonBinaryLabel` or :class:`NonNumericCell`."""
-    values = []
-    for i, cell in enumerate(row):
-        text = cell.strip()
-        if i == label_idx:
-            label = _parse_label(text, line_no)
-            continue
-        try:
-            value = float(text)
-        except ValueError:
-            raise NonNumericCell(line_no, header[i], text) from None
-        if not math.isfinite(value):
-            raise NonNumericCell(line_no, header[i], text)
-        values.append(value)
-    return label, values
 
 
 def _csv_rows(handle, path: Path):

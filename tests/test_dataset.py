@@ -182,7 +182,7 @@ def csv_dir(tmp_path_factory):
 @example(text="a,y\n1,0\n2\n")                               # short row
 @example(text="a,y\n1,0\n2,1,3\n")                           # long row
 @example(text="a,y\n1e308,0\n1e308,1\n")
-@example(text="a,b,y\n1e308,1e308,0\n-1e308,2,1\n")          # finite cells, infinite sum
+@example(text="a,b,y\n1e308,1e308,0\n-1e308,2,1\n")          # finite cells near the float limit
 @example(text="a,y\n\u20031_0\xa0,0\n\t2 ,1\n")
 def test_load_csv_matches_the_per_cell_reference(csv_dir, text):
     """The buffered loader returns the per-cell loop's features, labels and

@@ -307,9 +307,8 @@ def run_uncertainty(params: dict, out: Path) -> list[str]:
         default_grid(params["grid_size"]),
     )
     slices = bool(params.get("slices"))
-    targets = [Target.auc(), Target(game.ROC_SLICE)] if slices else [Target.auc()]
-    band, attributions = mc_bands(d, cfg, "roc", targets)
-    mca = attributions[0]
+    target = Target(game.ROC_SLICE) if slices else Target.auc()
+    band, mca, mcca = mc_bands(d, cfg, "roc", target)
     report.write_csv(out / "roc_band.csv", *report.banded_rows(band))
     report.write_svg(
         out / "roc_band.svg",
@@ -323,7 +322,6 @@ def run_uncertainty(params: dict, out: Path) -> list[str]:
         ).to_svg(),
     )
     if slices:
-        mcca = attributions[1]
         report.write_csv(out / "slice_bands.csv", *report.slice_band_rows(mcca))
         for name in mcca.feature_names:
             fb = mcca.feature_band(name)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .curves import Strategy, check_grid, sweeper
 from .dataset import Dataset
-from .errors import DataError, IncompleteTable, TooManyFeaturesForExactMode
+from .errors import DataError, IncompleteTable, TooManyFeaturesForExactMode, allocation
 from .model import TrainedModel, lattice_scores, train_gnb
 
 EXACT_MODE_CAP = 20
@@ -255,22 +255,26 @@ class PayoffEngine:
         floats per coalition fit BATCH_FLOATS; one that alone does not is
         swept alone.  That bounds the floats a batch holds while it is scored
         and swept.  A repeated mask is scored again.  The degenerate
-        coalitions are warned of by size, then column.
+        coalitions are warned of by size, then column.  Masks other than the
+        lattice are checked against the arity first, and a payoff array that
+        numpy cannot allocate is a DataError.
         """
         n = self.spec.n
-        for mask in (min(masks, default=0), max(masks, default=0)):
-            if mask >> n:       # a negative mask shifts to -1
-                raise DataError(f"mask {mask:#x} has bits beyond arity {n}")
-        if (isinstance(masks, range) and masks == range(1 << n)
-                and isinstance(self.scorer, TrainedModel)):
+        lattice = isinstance(masks, range) and masks == range(1 << n)
+        if not lattice:         # the lattice is in range by construction
+            for mask in (min(masks, default=0), max(masks, default=0)):
+                if mask >> n:       # a negative mask shifts to -1
+                    raise DataError(f"mask {mask:#x} has bits beyond arity {n}")
+        # Raw readouts first, made payoffs in place once every sweep is read.
+        with allocation(f"{1 + self.abscissae.size} payoff rows of {len(masks)} coalitions"):
+            out = np.zeros((1 + self.abscissae.size, len(masks)))
+            valid = np.zeros(len(masks), dtype=bool)
+        if lattice and isinstance(self.scorer, TrainedModel):
             blocks = lattice_scores(self.scorer, self.spec.test, BATCH_FLOATS)
         else:
             blocks = self._chunks(masks)
         per_coalition = (self.spec.test.n_rows * SWEEP_FLOATS
                          + self.abscissae.size * BRACKET_FLOATS)
-        # Raw readouts first, made payoffs in place once every sweep is read.
-        out = np.zeros((1 + self.abscissae.size, len(masks)))
-        valid = np.zeros(len(masks), dtype=bool)
         for sweep in packed(blocks, lambda block: block[0].size * per_coalition,
                             BATCH_FLOATS):
             columns = np.concatenate([columns for columns, _ in sweep])

@@ -109,29 +109,33 @@ def _shapley_map(payoffs) -> np.ndarray:
     """Shapley values, shape (n, m), of m payoff vectors of length 2^n: an
     (m, 2^n) array or a sequence of rows.
 
+    Viewed as (rows, 2^(n-1-i), 2, 2^i), a row's [:, 0] and [:, 1] halves are
+    the coalitions without and with feature i, in ascending mask order.  The
+    j-th coalition without i has the size of mask j, whichever feature i is,
+    so one weight vector, by the size of each coalition without i, serves
+    every feature.  A feature's weighted gains are one C-contiguous row of
+    2^(n-1) per payoff vector, and one np.sum call adds every such row in the
+    same order, whichever order the numpy release uses: a row sums as a
+    single table's vector would.
+
     At most SOLVE_FLOATS payoffs are stacked and solved at a time, which
-    bounds memory.  The weights are rebuilt per call in O(2^n): a cached
-    (n, 2^n) weight matrix would take 160 MB at the exact-mode cap.
+    bounds memory.  The weights are rebuilt per call, in O(2^n).
     """
     m, size = len(payoffs), len(payoffs[0])
     n = size.bit_length() - 1
-    masks = np.arange(size, dtype=np.int64)
-    sizes = np.zeros(size, dtype=np.int64)
-    for i in range(n):
-        sizes += (masks >> i) & 1
-    weights = _subset_weights(n)
+    # Sizes of the masks 0 .. 2^(n-1) - 1, by doubling.
+    sizes = np.zeros(size >> 1, dtype=np.int64)
+    for i in range(n - 1):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
+    weights = _subset_weights(n)[sizes]
     step = max(1, SOLVE_FLOATS >> n)
     values = np.empty((n, m))
     for start in range(0, m, step):
         chunk = np.asarray(payoffs[start:start + step])
         for i in range(n):
-            without = masks[(masks >> i & 1) == 0]
-            # np.take keeps rows C-contiguous and of one length, and one np.sum
-            # call adds every such row in the same order, whichever order the
-            # numpy release uses: a row sums as a single table's vector would.
-            with_i = np.take(chunk, without | (1 << i), axis=1)
-            gains = with_i - np.take(chunk, without, axis=1)
-            values[i, start:start + step] = np.sum(weights[sizes[without]] * gains, axis=1)
+            halves = chunk.reshape(len(chunk), -1, 2, 1 << i)
+            gains = (halves[:, :, 1] - halves[:, :, 0]).reshape(len(chunk), -1)
+            values[i, start:start + step] = np.sum(weights * gains, axis=1)
     return values
 
 

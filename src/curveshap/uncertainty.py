@@ -2,28 +2,25 @@
 
 Each iteration re-splits the dataset with seed base_seed + k, fits the model
 once, and re-derives every quantity of interest from that split and fit: the
-targets of one curve family (ROC or PR) from one exact game, whose payoff
-matrix holds each coalition's area and slice payoffs.  `mc_bands` is the one
-loop over iterations; `mc_curves` and `mc_attributions` read their part of it.
-Aggregates are means and population standard deviations over a common abscissa
-grid.
+curve band, and the attributions of at most one exact game of the band's curve
+family (ROC or PR), whose payoff matrix holds each coalition's area and slice
+payoffs.  `mc_bands` is the one loop over iterations; `mc_curves` and
+`mc_attributions` read their part of it.  Aggregates are means and population
+standard deviations over a common abscissa grid.
 
 An iteration does only the work that depends on its split.  The split takes
-its rows without checking them again.  When the curve band's family has a
-slice game that interpolates on the grid, the band row is that game's raw
-readout of the grand coalition, read from the game's own sweep; otherwise the
-full feature set is scored and swept once more for it.  The payoff matrices
-of consecutive games, of both curve families and across iterations, are
-solved together, in blocks of at most BLOCK_PAYOFFS payoffs packed by
-`game.packed`, one Shapley map per block; each iteration's attributions
-still pass their own efficiency checks.
+its rows without checking them again.  When the game is a slice game that
+interpolates on the grid, the band row is that game's raw readout of the
+grand coalition, read from the game's own sweep; otherwise the full feature
+set is scored and swept once more for it.  The payoff matrices of
+consecutive iterations are solved together, in blocks of at most
+BLOCK_PAYOFFS payoffs packed by `game.packed`, one Shapley map per block;
+each iteration's attributions still pass their own efficiency checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -123,7 +120,7 @@ class McCurveAttribution:
 
 def mc_curves(d: Dataset, cfg: McConfig, kind: str = "roc") -> BandedSeries:
     """Grand-coalition ROC (or PR) curve band across Monte-Carlo splits."""
-    return mc_bands(d, cfg, kind, [])[0]
+    return mc_bands(d, cfg, kind)[0]
 
 
 def mc_attributions(
@@ -139,103 +136,103 @@ def mc_attributions(
     config grid, and the strategy defaults to interpolation).
     """
     kind = "roc" if target.kind in _ROC_KINDS else "pr"
-    return mc_bands(d, cfg, kind, [target], strategy or Strategy.INTERPOLATION)[1][0]
+    bands = mc_bands(d, cfg, kind, target, strategy or Strategy.INTERPOLATION)
+    return bands[2 if target.is_slice else 1]
 
 
 def mc_bands(
     d: Dataset,
     cfg: McConfig,
     kind: str,
-    targets: Sequence[Target],
+    target: Target | None = None,
     strategy: Strategy = Strategy.INTERPOLATION,
-) -> tuple[BandedSeries, list[McAttribution | McCurveAttribution]]:
-    """The grand-coalition ROC (or PR) curve band and, for each target, its
-    attribution bands as `mc_attributions` gives them, all from one split and
-    one model fit per iteration.
+) -> tuple[BandedSeries, McAttribution | None, McCurveAttribution | None]:
+    """The grand-coalition ROC (or PR) curve band, and the area and slice
+    attribution bands of `target`'s game as `mc_attributions` gives them, all
+    from one split and one model fit per iteration.
 
-    Targets of one curve family (ROC or PR) share one exact game, on the grid
-    if a slice target asks for it: one Shapley map over its payoff matrix
-    gives the area values (row 0) and the slice values (the other rows).  A
-    slice target's own abscissa is ignored; its games use `strategy`, while
-    the curve band always interpolates.  So when the band's family has a
-    slice game and `strategy` interpolates, the band row is that game's raw
-    readout of the grand coalition on the grid, read from the game's sweep;
-    otherwise the full feature set is scored and swept apart.
+    Each iteration runs at most one exact game: none without a target, the
+    family's area game for an area target, or its slice game on the config
+    grid for a slice target, whose row 0 also gives the area attribution.
+    The attribution bands that no game gives are None; a target of the other
+    curve family is a DataError.  A slice target's own abscissa is ignored;
+    its games use `strategy`, while the curve band always interpolates.  So
+    when the game is a slice game and `strategy` interpolates, the band row
+    is that game's raw readout of the grand coalition on the grid, read from
+    the game's sweep; otherwise the full feature set is scored and swept
+    apart.
 
-    The iterations yield their games' payoff matrices, ROC and PR alike, in
-    one stream.  `game.packed` groups consecutive matrices into blocks of at
-    most BLOCK_PAYOFFS payoffs, a larger matrix alone, and hands each block
-    on as soon as it is full.  One Shapley map per block gives every matrix
-    the bits of its own.  Each iteration's attributions then pass their
-    efficiency checks one by one.
+    `game.packed` groups the payoff matrices of consecutive iterations into
+    blocks of at most BLOCK_PAYOFFS payoffs, a larger matrix alone, and hands
+    each block on as soon as it is full.  One Shapley map per block gives
+    every matrix the bits of its own.  Each iteration's attributions then
+    pass their efficiency checks one by one.
     """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
-    games = {}      # curve family → game; slice targets come last and win
-    for target in sorted(targets, key=lambda t: t.is_slice):
-        games[target.kind in _ROC_KINDS] = Target(target.kind)
     n, grid, roc = d.n_features, cfg.grid, kind == "roc"
+    if target is not None and (target.kind in _ROC_KINDS) != roc:
+        raise DataError(f"target {target.kind!r} is not of the {kind!r} curve family")
+    slices = target is not None and target.is_slice
+    area = Target.auc() if roc else Target.auprc()
     # The grand coalition of an empty feature set is not scored by its game.
-    shared = (n > 0 and roc in games and games[roc].is_slice
-              and strategy is Strategy.INTERPOLATION)
+    shared = n > 0 and slices and strategy is Strategy.INTERPOLATION
     with allocation(f"{cfg.iterations} iterations"):
         rows = np.empty((cfg.iterations, grid.size))
-        # Per iteration: φ per feature and grid point for a slice target, φ
-        # per feature and then the achieved total for an area target.
-        stacks = [np.empty((cfg.iterations, n, grid.size) if t.is_slice
-                           else (cfg.iterations, n + 1)) for t in targets]
+        # Per iteration: the area φ per feature and then the achieved total,
+        # and the slice φ per feature and grid point.
+        areas = np.empty((cfg.iterations, n + 1)) if target is not None else None
+        curves = np.empty((cfg.iterations, n, grid.size)) if slices else None
 
     def iterate(k: int):
-        """Iteration k's games, as (k, family, baselines, payoff matrix).  A
-        generator of its own, so this split's model, term tables and games are
-        freed before the next split builds its own."""
+        """Iteration k's band row, then its game as (k, baselines, payoff
+        matrix), or None without a target.  A function of its own, so this
+        split's model, term tables and engine are freed before the next split
+        builds its own."""
         train, test = split(d, cfg.split_spec(k))
         model = train_gnb(train)
         if not shared:
             curve = sweeper(test.labels, roc)(model.score(test)[np.newaxis])
             rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
-        for family, target in games.items():
-            spec = GameSpec(target, train, test, strategy, fit=lambda _: model)
-            engine, matrix = game._payoff_matrix(spec, grid if target.is_slice else None)
-            if shared and family == roc:
-                rows[k] = engine.grand_readout[1:]
-            yield k, family, engine.baselines, matrix
+        if target is None:
+            return None
+        spec = GameSpec(Target(target.kind), train, test, strategy, fit=lambda _: model)
+        engine, matrix = game._payoff_matrix(spec, grid if slices else None)
+        if shared:
+            rows[k] = engine.grand_readout[1:]
+        return k, engine.baselines, matrix
 
     def solve(block: list) -> None:
-        """Solve a block of (k, family, baselines, payoff matrix) games into
-        their targets' stacks, and empty it, so that no solved matrix is held
-        while the next games are computed."""
+        """Solve a block of (k, baselines, payoff matrix) games into `areas`
+        and `curves`, and empty it, so that no solved matrix is held while the next
+        games are computed."""
         values = _shapley_map(np.concatenate([matrix for *_, matrix in block]))
         start = 0
-        for k, family, baselines, matrix in block:
+        for k, baselines, matrix in block:
             solved = values[:, start:start + len(matrix)]
             start += len(matrix)
-            for target, stack in zip(targets, stacks):
-                if (target.kind in _ROC_KINDS) != family:
-                    continue
-                if target.is_slice:
-                    stack[k] = CurveAttribution(
-                        d.feature_names, grid, solved[:, 1:],
-                        baselines + matrix[1:, -1], baselines, target.kind,
-                    ).values
-                else:
-                    attr = Attribution(
-                        d.feature_names, solved[:, 0], target.baseline(),
-                        target.baseline() + matrix[0, -1], target,
-                    )
-                    stack[k] = np.append(attr.values, attr.total)
+            attr = Attribution(
+                d.feature_names, solved[:, 0], area.baseline(),
+                area.baseline() + matrix[0, -1], area,
+            )
+            areas[k] = np.append(attr.values, attr.total)
+            if slices:
+                curves[k] = CurveAttribution(
+                    d.feature_names, grid, solved[:, 1:],
+                    baselines + matrix[1:, -1], baselines, target.kind,
+                ).values
         block.clear()
 
-    matrices = chain.from_iterable(map(iterate, range(cfg.iterations)))
-    for block in game.packed(matrices, lambda item: item[3].size, BLOCK_PAYOFFS):
+    games = filter(None, map(iterate, range(cfg.iterations)))
+    for block in game.packed(games, lambda item: item[2].size, BLOCK_PAYOFFS):
         solve(block)
     band = BandedSeries(grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
-    bands = [
-        McCurveAttribution(d.feature_names, grid, stack.mean(axis=0), stack.std(axis=0),
-                           cfg.iterations, target.kind)
-        if target.is_slice else
-        McAttribution(d.feature_names, stack[:, :-1].mean(axis=0), stack[:, :-1].std(axis=0),
-                      cfg.iterations, target, float(stack[:, -1].mean()))
-        for target, stack in zip(targets, stacks)
-    ]
-    return band, bands
+    if target is None:
+        return band, None, None
+    values = areas[:, :-1]
+    mca = McAttribution(d.feature_names, values.mean(axis=0), values.std(axis=0),
+                        cfg.iterations, area, float(areas[:, -1].mean()))
+    if not slices:
+        return band, mca, None
+    return band, mca, McCurveAttribution(d.feature_names, grid, curves.mean(axis=0),
+                                         curves.std(axis=0), cfg.iterations, target.kind)

@@ -6,6 +6,7 @@ every permutation.  They are slow and obviously correct.  The scoring and
 sweep references restate one lane or one row at a time the formulas that the
 package's batched code must match bit for bit.  The CSV reference reads
 every cell in one Python loop, the checks the buffered loader must match.
+The Shapley-map reference gathers each feature's coalitions by mask.
 """
 
 from __future__ import annotations
@@ -41,6 +42,28 @@ def shapley_all_permutations(payoffs: dict[int, float], n: int) -> np.ndarray:
             contributions[i].append(value - previous)
             previous = value
     return np.array([fsum(c) / factorial(n) for c in contributions])
+
+
+def reference_shapley_map(payoffs) -> np.ndarray:
+    """Shapley values, shape (n, m), of m payoff vectors of length 2^n, all
+    rows at once.  For each feature i, `np.take` gathers the coalitions
+    without i and with i by their masks, and one np.sum call adds each row's
+    gains, weighted by the size of the coalition without i."""
+    m, size = len(payoffs), len(payoffs[0])
+    n = size.bit_length() - 1
+    masks = np.arange(size, dtype=np.int64)
+    sizes = np.zeros(size, dtype=np.int64)
+    for i in range(n):
+        sizes += (masks >> i) & 1
+    weights = np.array([factorial(s) * factorial(n - 1 - s) / factorial(n) for s in range(n)])
+    rows = np.asarray(payoffs)
+    values = np.empty((n, m))
+    for i in range(n):
+        without = masks[(masks >> i & 1) == 0]
+        with_i = np.take(rows, without | (1 << i), axis=1)
+        gains = with_i - np.take(rows, without, axis=1)
+        values[i] = np.sum(weights[sizes[without]] * gains, axis=1)
+    return values
 
 
 def random_game(rng: np.random.Generator, n: int) -> dict[int, float]:

@@ -852,6 +852,16 @@ def test_wide_coalitions_share_a_batch(banknote):
     assert scorer.batches == [(2, k) for k in sizes]
 
 
+def test_an_unallocatable_lattice_is_a_data_error(banknote):
+    """The lattice is in range by construction, so its masks are not walked
+    for their bounds: at 62 features numpy's refusal of the payoff array is
+    the error, at once."""
+    train, test = banknote_with_noise(banknote, 58)
+    engine = PayoffEngine(GameSpec(Target.auc(), train, test))
+    with pytest.raises(errors.DataError, match="cannot allocate 1 payoff rows .*too big"):
+        engine.payoffs(range(1 << 62))
+
+
 def degenerate_masks(run):
     """The coalition masks named by the DegenerateCurveWarnings of `run()`."""
     with warnings.catch_warnings(record=True) as caught:

@@ -30,7 +30,7 @@ from curveshap.shapley import (
 from curveshap.uncertainty import McConfig, mc_bands
 
 from conftest import make_blobs
-from oracles import random_game, shapley_all_permutations
+from oracles import random_game, reference_shapley_map, shapley_all_permutations
 
 
 def table_from_dict(payoffs, n, names=None):
@@ -367,6 +367,26 @@ def test_shapley_map_solves_each_row_alone_in_chunks(monkeypatch):
     assert np.array_equal(shapley._shapley_map(list(payoffs)), alone)
 
 
+@settings(max_examples=150)
+@given(n=st.integers(0, 10), rows=st.integers(1, 40), chunk=st.integers(1, 40),
+       as_list=st.booleans(), zeros=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_shapley_map_matches_the_gather_reference(n, rows, chunk, as_list, zeros, seed):
+    """The map reads each feature's coalitions as the halves of the payoff
+    rows, and gives every value the bits of the reference that gathers them
+    by mask, in chunks of `chunk` rows, on rows of either sign and of
+    magnitudes 1e-5 to 1e5 with some cells -0.0."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, 1 << n)
+    payoffs = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    payoffs[rng.random(payoffs.shape) < zeros] = -0.0
+    expected = reference_shapley_map(payoffs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shapley, "SOLVE_FLOATS", chunk << n)
+        values = shapley._shapley_map(list(payoffs) if as_list else payoffs)
+    assert values.shape == expected.shape == (n, rows)
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+
 def test_shapley_map_memory_is_bounded_by_the_chunk():
     """Solving a (102, 2^12) payoff matrix, as one Monte-Carlo iteration of
     `uncertainty --slices` does at n=12, peaks at a few chunks of
@@ -418,6 +438,6 @@ def test_curve_attributions_leave_the_callers_grid_writable(banknote):
     spec = GameSpec(Target(ROC_SLICE), train, test, Strategy.INTERPOLATION)
     grid = np.linspace(0.0, 1.0, 5)
     shapley_sampled_curve(spec, grid, samples=3, seed=0)
-    mc_bands(banknote, McConfig(iterations=2, grid=grid), "roc", [Target(ROC_SLICE)])
+    mc_bands(banknote, McConfig(iterations=2, grid=grid), "roc", Target(ROC_SLICE))
     grid[0] = 0.0
 

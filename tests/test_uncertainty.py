@@ -201,14 +201,14 @@ class TestMcBands:
         monkeypatch.setattr(uncertainty, "split", split)
         monkeypatch.setattr(uncertainty, "train_gnb", fit)
         cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
-        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        mc_bands(banknote, cfg, "roc", cs.Target.roc_slice(0.0))
         assert (split.calls, fit.calls) == (3, 3)
 
     def test_one_term_table_per_iteration(self, banknote, table_builds):
         """The band's score and the game share one model, so each iteration
         builds its test set's term tables once."""
         cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
-        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        mc_bands(banknote, cfg, "roc", cs.Target.roc_slice(0.0))
         assert len(table_builds) == 3
         assert len({id(test) for test in table_builds}) == 3
 
@@ -221,13 +221,13 @@ class TestMcBands:
         cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
         area, curve = ((cs.Target.auc(), cs.Target.roc_slice(0.0)) if kind == "roc"
                        else (cs.Target.auprc(), cs.Target.prc_slice(0.5)))
-        mc_bands(banknote, cfg, kind, [area])
+        mc_bands(banknote, cfg, kind, area)
         assert (len(swept_batches), points_built(swept_batches)) == (6, 3)
         swept_batches.clear()
-        mc_bands(banknote, cfg, kind, [area, curve])
+        mc_bands(banknote, cfg, kind, curve)
         assert (len(swept_batches), points_built(swept_batches)) == (3, 3)
         swept_batches.clear()
-        mc_bands(banknote, cfg, kind, [area, curve], Strategy.PESSIMISTIC)
+        mc_bands(banknote, cfg, kind, curve, Strategy.PESSIMISTIC)
         assert (len(swept_batches), points_built(swept_batches)) == (6, 6)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
@@ -245,8 +245,8 @@ class TestMcBands:
                        else (cs.Target.auprc(), cs.Target.prc_slice(0.5)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DegenerateCurveWarning)
-            shared, _ = mc_bands(d, cfg, kind, [area, curve])
-            apart, _ = mc_bands(d, cfg, kind, [area])
+            shared, *_ = mc_bands(d, cfg, kind, curve)
+            apart, *_ = mc_bands(d, cfg, kind, area)
         grand = [w for w in caught if str(w.message).startswith("coalition 0xf ")]
         assert len(grand) == (0 if scale == 1.0 else 6)
         rows, _ = reference_bands(d, cfg, kind, [])
@@ -260,14 +260,13 @@ class TestMcBands:
         apart: the prior-only model's diagonal ROC curve."""
         empty = cs.Dataset(np.zeros((banknote.n_rows, 0)), banknote.labels, ())
         cfg = McConfig(iterations=2, grid=np.linspace(0.0, 1.0, 5))
-        band, _ = mc_bands(empty, cfg, "roc", [cs.Target.roc_slice(0.0)])
+        band, *_ = mc_bands(empty, cfg, "roc", cs.Target.roc_slice(0.0))
         np.testing.assert_array_equal(band.mean, cfg.grid)
 
     def test_shapley_solves_take_blocks_of_iterations(self, banknote, monkeypatch):
-        """The payoff matrices of consecutive games, of both curve families,
-        are solved together, at most BLOCK_PAYOFFS payoffs at a time, in
-        iteration order; a matrix of more payoffs is solved alone, one call
-        per iteration."""
+        """The payoff matrices of consecutive games are solved together, at
+        most BLOCK_PAYOFFS payoffs at a time, in iteration order; a matrix of
+        more payoffs is solved alone, one call per iteration."""
         calls = []
 
         def recording(payoffs):
@@ -277,35 +276,18 @@ class TestMcBands:
         shapley_map = uncertainty._shapley_map
         monkeypatch.setattr(uncertainty, "_shapley_map", recording)
         cfg = McConfig(iterations=12, base_seed=1)
-        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        mc_bands(banknote, cfg, "roc", cs.Target.roc_slice(0.0))
         per_iteration = (1 + cfg.grid.size) * 16
         assert all(call.size <= uncertainty.BLOCK_PAYOFFS for call in calls)
         assert [call.size for call in calls] == [5 * per_iteration] * 2 + [2 * per_iteration]
         calls.clear()
-        mc_bands(banknote, cfg, "roc", [cs.Target.auc()])
+        mc_bands(banknote, cfg, "roc", cs.Target.auc())
         assert [call.shape for call in calls] == [(12, 16)]
         calls.clear()
         wide = make_blobs(np.random.default_rng(1), n_rows=80, n_features=7)
         assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
-        mc_bands(wide, McConfig(iterations=3), "roc", [cs.Target.roc_slice(0.0)])
+        mc_bands(wide, McConfig(iterations=3), "roc", cs.Target.roc_slice(0.0))
         assert [call.shape for call in calls] == [(1 + cfg.grid.size, 1 << 7)] * 3
-
-    def test_roc_and_pr_matrices_share_blocks(self, banknote, monkeypatch):
-        """The ROC and the PR game of each iteration feed one stream of
-        matrices, so one Shapley map solves both families' matrices."""
-        calls = []
-
-        def recording(payoffs):
-            calls.append(np.array(payoffs))
-            return shapley_map(payoffs)
-
-        shapley_map = uncertainty._shapley_map
-        monkeypatch.setattr(uncertainty, "_shapley_map", recording)
-        cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
-        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.prc_slice(0.3)])
-        # Per iteration: the AUC game's one row, then the PR slice game's
-        # area row and 11 slice rows.
-        assert [call.shape for call in calls] == [(3 * (1 + 1 + 11), 16)]
 
     def test_a_full_block_is_solved_before_the_next_game(self, monkeypatch):
         """When every matrix alone fills a block, iteration k is solved
@@ -331,7 +313,7 @@ class TestMcBands:
         wide = make_blobs(np.random.default_rng(1), n_rows=80, n_features=7)
         cfg = McConfig(iterations=3)
         assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
-        mc_bands(wide, cfg, "roc", [cs.Target.roc_slice(0.0)])
+        mc_bands(wide, cfg, "roc", cs.Target.roc_slice(0.0))
         assert events == ["build", "solve"] * 3
 
     def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
@@ -350,19 +332,36 @@ class TestMcBands:
 
         monkeypatch.setattr(uncertainty, "train_gnb", lambda d: Recording(cs.train_gnb(d)))
         cfg = McConfig(iterations=3, base_seed=2, grid=np.linspace(0.0, 1.0, 11))
-        mc_bands(banknote, cfg, "roc", [cs.Target.auc(), cs.Target.roc_slice(0.0)])
+        mc_bands(banknote, cfg, "roc", cs.Target.roc_slice(0.0))
         coalitions = [frozenset(c) for k in range(1, 5)
                       for c in itertools.combinations(range(4), k)]
         assert Counter(scored) == dict.fromkeys(coalitions, 3)
+
+    def test_a_target_of_the_other_family_is_rejected(self, banknote):
+        cfg = McConfig(iterations=2)
+        with pytest.raises(errors.DataError, match="auprc"):
+            mc_bands(banknote, cfg, "roc", cs.Target.auprc())
+        with pytest.raises(errors.DataError, match="roc_slice"):
+            mc_bands(banknote, cfg, "pr", cs.Target.roc_slice(0.0))
+
+    def test_no_target_runs_no_game(self, banknote, monkeypatch):
+        """Without a target each iteration only sweeps its band row."""
+        def no_game(spec, grid):
+            raise AssertionError("a payoff matrix was built")
+
+        monkeypatch.setattr(game, "_payoff_matrix", no_game)
+        cfg = McConfig(iterations=3, base_seed=5, grid=np.linspace(0.0, 1.0, 11))
+        band, area, curve = mc_bands(banknote, cfg, "pr")
+        assert isinstance(band, BandedSeries) and (area, curve) == (None, None)
 
     @pytest.mark.parametrize("kind", ["roc", "pr"])
     def test_equals_separate_runs(self, banknote, kind):
         """mc_bands equals the public pipeline run target by target, each
         target in its own game on each iteration's split and fit."""
         cfg = McConfig(iterations=3, base_seed=5, grid=np.linspace(0.0, 1.0, 11))
-        targets = [cs.Target.auc(), cs.Target.auprc(), cs.Target.roc_slice(0.3),
-                   cs.Target.prc_slice(0.6)]
-        band, attributions = mc_bands(banknote, cfg, kind, targets)
+        targets = ([cs.Target.auc(), cs.Target.roc_slice(0.3)] if kind == "roc"
+                   else [cs.Target.auprc(), cs.Target.prc_slice(0.6)])
+        band, *attributions = mc_bands(banknote, cfg, kind, targets[-1])
         rows, stacks = reference_bands(banknote, cfg, kind, targets)
         np.testing.assert_array_equal(band.mean, rows.mean(axis=0))
         np.testing.assert_array_equal(band.std, rows.std(axis=0))

@@ -44,6 +44,7 @@ from .errors import CurveshapError, DataError
 from .game import GameSpec, Target, evaluate_all, evaluate_slices
 from .shapley import (
     Attribution,
+    CurveAttribution,
     check_samples,
     shapley_curve,
     shapley_exact,
@@ -237,11 +238,11 @@ def _ranking(names, values, cells) -> list[str]:
     return [f"  {names[i]:<{width}}  {cells[i]}" for i in order]
 
 
-def _explain_area(spec: GameSpec, params: dict, out: Path, suffix: str, label: str,
+def _explain_area(attr: Attribution, table, out: Path, suffix: str, label: str,
                   notes=()) -> list[str]:
-    """Attribute an area or single-slice game, write `attribution<suffix>.*`
-    (and `payoffs<suffix>.csv` in exact mode), and return its summary lines."""
-    attr, table = _area_attribution(spec, params)
+    """Write an area or slice attribution as `attribution<suffix>.*` (and its
+    payoff `table`, if exact, as `payoffs<suffix>.csv`), and return its
+    summary lines."""
     _write_attribution(out, f"attribution{suffix}", attr)
     if table is not None:
         report.write_payoffs(out / f"payoffs{suffix}.csv", table)
@@ -263,36 +264,46 @@ def _run_area(target: Target, params: dict, out: Path) -> list[str]:
     notes = []
     if target.kind == game.AUPRC:
         notes.append(f"positive proportion: {d.n_positive / d.n_rows:.4f}")
-    lines = _explain_area(GameSpec(target, train, test), params, out, "", "achieved", notes)
+    lines = _explain_area(*_area_attribution(GameSpec(target, train, test), params), out,
+                          "", "achieved", notes)
     return [f"target: {target.describe()}", *lines]
 
 
 def _run_slice_curves(kind: str, params: dict, out: Path) -> list[str]:
+    """One game over the grid, plus the `--fpr`/`--recall` slice Q, if given,
+    as one more abscissa: inserted at its sorted place even where the grid
+    already holds it, so that Q keeps its own bits and its column is the
+    single-slice game's, bit for bit."""
     d = _load(params)
     train, test = _split(d, params)
     strategy = Strategy(params["strategy"])
     spec = GameSpec(Target(kind), train, test, strategy)
     grid = default_grid(params["grid_size"])
-    if params.get("sampled"):
-        ca = shapley_sampled_curve(spec, grid, params["sampled"], params["seed"])
-    else:
-        ca = shapley_curve(evaluate_slices(spec, grid))
-    report.write_csv(out / "contributions.csv", *report.curve_attribution_rows(ca))
-    report.write_svg(out / "contributions.svg", report.contribution_curves(ca).to_svg())
-    report.write_svg(out / "relative.svg", report.relative_contributions(ca).to_svg())
-
     abscissa_key = report._ABSCISSA[kind][0]
+    q = params.get(abscissa_key)
+    at = None if q is None else int(np.searchsorted(grid, q))
+    points = grid if q is None else np.insert(grid, at, q)
+    if params.get("sampled"):
+        ca, tables = shapley_sampled_curve(spec, points, params["sampled"], params["seed"]), None
+    else:
+        tables = evaluate_slices(spec, points)
+        ca = shapley_curve(tables)
     lines = [
         f"target: {spec.target.describe()}",
         f"strategy: {strategy.value}",
         f"grid: {grid.size} points",
     ]
-    q = params.get(abscissa_key)
     if q is not None:
-        lines += _explain_area(
-            GameSpec(Target(kind, q), train, test, strategy), params, out,
-            f"_{abscissa_key}", f"slice at {abscissa_key}={q:g}",
-        )
+        attr = Attribution(ca.feature_names, ca.values[:, at], ca.baselines[at], ca.reference[at],
+                           spec.target.with_abscissa(q))
+        lines += _explain_area(attr, tables and tables[at], out, f"_{abscissa_key}",
+                               f"slice at {abscissa_key}={q:g}")
+        ca = CurveAttribution(ca.feature_names, *(
+            np.delete(a, at, axis=-1) for a in (ca.abscissae, ca.values, ca.reference, ca.baselines)
+        ), kind)
+    report.write_csv(out / "contributions.csv", *report.curve_attribution_rows(ca))
+    report.write_svg(out / "contributions.svg", report.contribution_curves(ca).to_svg())
+    report.write_svg(out / "relative.svg", report.relative_contributions(ca).to_svg())
     mean_abs = np.abs(ca.values).mean(axis=1)
     return lines + [
         "mean |phi| over grid:",

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curveshap as cs
+from curveshap import report
 from curveshap.cli import main
 from curveshap.dataset import write_dataset_csv
 
@@ -214,14 +216,20 @@ class TestExplainRoc:
         assert len(lines) == 12
 
 
-@pytest.mark.parametrize("command, flag", [("explain-roc", "fpr"), ("explain-prc", "recall")])
-def test_sampled_slice_equals_its_grid_point(command, flag, tmp_path):
+@pytest.mark.parametrize("command, flag, mode", [
+    pytest.param("explain-roc", "fpr", ["--sampled", "12"], id="explain-roc-fpr"),
+    pytest.param("explain-prc", "recall", ["--sampled", "12"], id="explain-prc-recall"),
+    pytest.param("explain-roc", "fpr", [], id="explain-roc-fpr-exact"),
+    pytest.param("explain-prc", "recall", [], id="explain-prc-recall-exact"),
+])
+def test_sampled_slice_equals_its_grid_point(command, flag, mode, tmp_path):
     """The slice attribution at a grid point and the curve's row there read
-    one permutation draw, so they print the same φ."""
+    one permutation draw, or one payoff matrix in exact mode, so they print
+    the same φ."""
     out = tmp_path / "run"
     assert run([
         command, "--data", BANKNOTE, "--label-column", "class", "--out", str(out),
-        "--sampled", "12", "--grid-size", "11", f"--{flag}", "0.5", "--seed", "3",
+        *mode, "--grid-size", "11", f"--{flag}", "0.5", "--seed", "3",
     ]) == 0
     header, *rows = (out / "contributions.csv").read_text().splitlines()
     row = dict(zip(header.split(","), next(r for r in rows if r.startswith("0.5,")).split(",")))
@@ -229,6 +237,107 @@ def test_sampled_slice_equals_its_grid_point(command, flag, tmp_path):
     assert {line.split(",")[0]: line.split(",")[1] for line in lines} == {
         name: row[name] for name in ("variance", "skewness", "kurtosis", "entropy")
     }
+
+
+@pytest.mark.parametrize("strategy", ["interpolation", "optimistic", "pessimistic"])
+@pytest.mark.parametrize("samples", [None, 12], ids=["exact", "sampled"])
+@pytest.mark.parametrize("q", ["0.0", "-0.0", "0.2", "0.237", "1.0"])
+@pytest.mark.parametrize("command, flag, kind", [
+    ("explain-roc", "fpr", cs.game.ROC_SLICE), ("explain-prc", "recall", cs.game.PRC_SLICE),
+], ids=["roc", "prc"])
+def test_slice_equals_the_single_slice_game(command, flag, kind, q, samples, strategy, tmp_path):
+    """The slice read from the curve game's extra abscissa writes the bytes
+    of the library's own one-slice game at Q, on the grid or off it: its
+    attribution, its payoffs in exact mode, and its summary line."""
+    out = tmp_path / "run"
+    assert run([
+        command, "--data", BANKNOTE, "--label-column", "class", "--out", str(out),
+        "--grid-size", "11", f"--{flag}={q}", "--strategy", strategy, "--seed", "3",
+        *([] if samples is None else ["--sampled", str(samples)]),
+    ]) == 0
+    train, test = cs.split(cs.load_csv(BANKNOTE, "class"), cs.SplitSpec(0.8, 3))
+    spec = cs.GameSpec(cs.Target(kind, float(q)), train, test, cs.Strategy(strategy))
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    if samples is None:
+        table = cs.evaluate_all(spec)
+        attr = cs.shapley_exact(table)
+        report.write_payoffs(expected / "payoffs.csv", table)
+        assert (out / f"payoffs_{flag}.csv").read_bytes() == (
+            expected / "payoffs.csv").read_bytes()
+    else:
+        attr = cs.shapley_sampled(spec, samples, 3)
+        assert not (out / f"payoffs_{flag}.csv").exists()
+    report.write_csv(expected / "attribution.csv", *report.attribution_rows(attr))
+    assert (out / f"attribution_{flag}.csv").read_bytes() == (
+        expected / "attribution.csv").read_bytes()
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert f"slice at {flag}={float(q):g}: {report.percent(attr.total)} " \
+           f"(baseline {report.percent(attr.baseline)})" in summary
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every PayoffEngine built, and the number of masks each `payoffs` call
+    was given."""
+    built, calls = [], []
+    init, payoffs = cs.game.PayoffEngine.__init__, cs.game.PayoffEngine.payoffs
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_payoffs(self, masks):
+        calls.append(len(masks))
+        return payoffs(self, masks)
+
+    monkeypatch.setattr(cs.game.PayoffEngine, "__init__", counting_init)
+    monkeypatch.setattr(cs.game.PayoffEngine, "payoffs", counting_payoffs)
+    return built, calls
+
+
+@pytest.mark.parametrize("samples", [None, 20], ids=["exact", "sampled"])
+@pytest.mark.parametrize("command, flag, q", [
+    ("explain-roc", "fpr", "0.2"), ("explain-prc", "recall", "0.5"),
+])
+def test_one_engine_per_slice_run(command, flag, q, samples, engines, tmp_path):
+    """A run with a slice builds one engine, which scores each coalition of
+    the game once: all 2^n - 1 in exact mode, the distinct non-empty prefixes
+    of the draw when sampled."""
+    built, calls = engines
+    assert run([
+        command, "--data", BANKNOTE, "--label-column", "class",
+        "--out", str(tmp_path / "run"), "--grid-size", "11", f"--{flag}", q, "--seed", "2",
+        *([] if samples is None else ["--sampled", str(samples)]),
+    ]) == 0
+    if samples is None:
+        scored = (1 << 4) - 1
+    else:
+        prefixes = np.cumsum(1 << cs.shapley._permutations(4, samples, 2), axis=1)
+        scored = np.unique(prefixes).size
+        assert scored < samples * 4
+    assert len(built) == 1
+    assert calls == [scored + 1]        # with the empty coalition, unscored
+    assert built[0].trainings == scored
+
+
+def test_a_slice_run_warns_once_per_degenerate_coalition(banknote, tmp_path):
+    """With skewness × 1e200, each of the 8 coalitions holding it warns once
+    in an `explain-roc --fpr` run, not once per game."""
+    features = banknote.features.copy()
+    features[:, banknote.feature_names.index("skewness")] *= 1e200
+    data = tmp_path / "overflowing.csv"
+    write_dataset_csv(cs.Dataset(features, banknote.labels, banknote.feature_names),
+                      data, "class")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([
+            "explain-roc", "--data", str(data), "--label-column", "class",
+            "--out", str(tmp_path / "run"), "--fpr", "0.2", "--grid-size", "11",
+        ]) == 0
+    assert all(w.category is cs.game.DegenerateCurveWarning for w in caught)
+    masks = sorted((mask for mask in range(16) if mask & 0b10), key=int.bit_count)
+    assert [str(w.message).split()[1] for w in caught] == [f"{mask:#x}" for mask in masks]
 
 
 class TestExplainPrcAndAuprc:

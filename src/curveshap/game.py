@@ -12,8 +12,8 @@ through the scorer's `score`.  An exact game, which asks for the whole
 lattice, reads a `TrainedModel`'s scores from the model's rank-order walk
 (`model.lattice_scores`) instead; any other scorer is scored in batches.
 Both sources feed one sweep loop, so they give the same payoffs, warnings
-and counts, bit for bit.  `packed` is the one greedy packer of blocks under
-a budget: the engine's sweeps and the Monte-Carlo Shapley solves use it.
+and counts, bit for bit.  `packed`, the greedy packer of blocks under a
+budget, groups the engine's blocks into sweeps.
 """
 
 from __future__ import annotations

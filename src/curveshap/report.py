@@ -52,9 +52,7 @@ def percent(value: float) -> str:
 def format_cell(value) -> str:
     if isinstance(value, str):
         return csv_cell(value)
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return f"{float(value):.12g}"
 
@@ -430,15 +428,23 @@ def _axes(root, frame, title, x_label, y_label):
         px = frame.x(t)
         _line(root, px, frame.py1, px, frame.py1 + 4)
         _text(root, px, frame.py1 + 16, _tick_label(t), size=10)
+    _y_ticks(root, frame)
+    _text(root, (frame.px0 + frame.px1) / 2, frame.py1 + 34, x_label, size=12)
+    _y_label_and_title(root, frame, y_label, title)
+
+
+def _y_ticks(root, frame):
     for t in np.linspace(*frame.y_range, 5):
         py = frame.y(t)
         _line(root, frame.px0 - 4, py, frame.px0, py)
         _text(root, frame.px0 - 8, py + 3, _tick_label(t), size=10, anchor="end")
-    _text(root, (frame.px0 + frame.px1) / 2, frame.py1 + 34, x_label, size=12)
-    ylab = _text(root, 16, (frame.py0 + frame.py1) / 2, y_label, size=12)
-    ylab.set(
-        "transform", f"rotate(-90 {_fmt(16)} {_fmt((frame.py0 + frame.py1) / 2)})"
-    )
+
+
+def _y_label_and_title(root, frame, y_label, title):
+    """The rotated y label, unless it is None, then the bold title."""
+    if y_label is not None:
+        mid = (frame.py0 + frame.py1) / 2
+        _text(root, 16, mid, y_label, size=12, transform=f"rotate(-90 {_fmt(16)} {_fmt(mid)})")
     _text(root, (frame.px0 + frame.px1) / 2, MARGIN["top"] - 14, title, size=13,
           **{"font-weight": "bold"})
 
@@ -545,15 +551,8 @@ def _render_columns(columns, title, y_label, pad, width, opacity, min_height) ->
     _line(root, frame.px0, frame.y(0.0), frame.px1, frame.y(0.0),
           stroke="#999999", width=0.8)
     _line(root, frame.px0, frame.py0, frame.px0, frame.py1)
-    for t in np.linspace(lo, hi, 5):
-        py = frame.y(t)
-        _line(root, frame.px0 - 4, py, frame.px0, py)
-        _text(root, frame.px0 - 8, py + 3, _tick_label(t), size=10, anchor="end")
-    if y_label is not None:
-        mid = (frame.py0 + frame.py1) / 2
-        _text(root, 16, mid, y_label, size=12, transform=f"rotate(-90 {_fmt(16)} {_fmt(mid)})")
-    _text(root, (frame.px0 + frame.px1) / 2, MARGIN["top"] - 14, title, size=13,
-          **{"font-weight": "bold"})
+    _y_ticks(root, frame)
+    _y_label_and_title(root, frame, y_label, title)
     return ET.tostring(root, encoding="unicode")
 
 

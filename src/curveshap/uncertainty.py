@@ -12,10 +12,9 @@ An iteration does only the work that depends on its split.  The split takes
 its rows without checking them again.  When the game is a slice game that
 interpolates on the grid, the band row is that game's raw readout of the
 grand coalition, read from the game's own sweep; otherwise the full feature
-set is scored and swept once more for it.  The payoff matrices of
-consecutive iterations are solved together, in blocks of at most
-BLOCK_PAYOFFS payoffs packed by `game.packed`, one Shapley map per block;
-each iteration's attributions still pass their own efficiency checks.
+set is scored and swept once more for it.  Each iteration solves its own
+payoff matrix with one Shapley map, and its attributions pass their own
+efficiency checks, before the next split is drawn.
 """
 
 from __future__ import annotations
@@ -29,13 +28,8 @@ from .dataset import Dataset, SplitSpec, split
 from .errors import DataError, allocation
 from .game import _ROC_KINDS, GameSpec, Target
 from .model import train_gnb
-from .shapley import SOLVE_FLOATS, Attribution, CurveAttribution, _shapley_map
+from .shapley import Attribution, CurveAttribution, _shapley_map
 from . import game
-
-# Most payoffs that one Shapley solve of `mc_bands` takes, from the payoff
-# matrices of consecutive games.  Held matrices add to the peak memory,
-# so a block stays well below SOLVE_FLOATS.
-BLOCK_PAYOFFS = SOLVE_FLOATS // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +156,8 @@ def mc_bands(
     the game's sweep; otherwise the full feature set is scored and swept
     apart.
 
-    `game.packed` groups the payoff matrices of consecutive iterations into
-    blocks of at most BLOCK_PAYOFFS payoffs, a larger matrix alone, and hands
-    each block on as soon as it is full.  One Shapley map per block gives
-    every matrix the bits of its own.  Each iteration's attributions then
-    pass their efficiency checks one by one.
+    Each iteration solves its game's payoff matrix with one Shapley map and
+    checks its attributions' efficiency, so no matrix outlives its split.
     """
     if kind not in ("roc", "pr"):
         raise DataError(f"kind must be 'roc' or 'pr', got {kind!r}")
@@ -184,48 +175,36 @@ def mc_bands(
         areas = np.empty((cfg.iterations, n + 1)) if target is not None else None
         curves = np.empty((cfg.iterations, n, grid.size)) if slices else None
 
-    def iterate(k: int):
-        """Iteration k's band row, then its game as (k, baselines, payoff
-        matrix), or None without a target.  A function of its own, so this
-        split's model, term tables and engine are freed before the next split
-        builds its own."""
+    def iterate(k: int) -> None:
+        """Iteration k's band row, and its game solved into `areas` and
+        `curves`.  A function of its own, so this split's model, term tables,
+        engine and payoff matrix are freed before the next split builds its
+        own."""
         train, test = split(d, cfg.split_spec(k))
         model = train_gnb(train)
         if not shared:
             curve = sweeper(test.labels, roc)(model.score(test)[np.newaxis])
             rows[k] = curve.estimate(grid, Strategy.INTERPOLATION)[0]
         if target is None:
-            return None
+            return
         spec = GameSpec(Target(target.kind), train, test, strategy, fit=lambda _: model)
         engine, matrix = game._payoff_matrix(spec, grid if slices else None)
         if shared:
             rows[k] = engine.grand_readout[1:]
-        return k, engine.baselines, matrix
+        values = _shapley_map(matrix)
+        attr = Attribution(
+            d.feature_names, values[:, 0], area.baseline(),
+            area.baseline() + matrix[0, -1], area,
+        )
+        areas[k] = np.append(attr.values, attr.total)
+        if slices:
+            curves[k] = CurveAttribution(
+                d.feature_names, grid, values[:, 1:],
+                engine.baselines + matrix[1:, -1], engine.baselines, target.kind,
+            ).values
 
-    def solve(block: list) -> None:
-        """Solve a block of (k, baselines, payoff matrix) games into `areas`
-        and `curves`, and empty it, so that no solved matrix is held while the next
-        games are computed."""
-        values = _shapley_map(np.concatenate([matrix for *_, matrix in block]))
-        start = 0
-        for k, baselines, matrix in block:
-            solved = values[:, start:start + len(matrix)]
-            start += len(matrix)
-            attr = Attribution(
-                d.feature_names, solved[:, 0], area.baseline(),
-                area.baseline() + matrix[0, -1], area,
-            )
-            areas[k] = np.append(attr.values, attr.total)
-            if slices:
-                curves[k] = CurveAttribution(
-                    d.feature_names, grid, solved[:, 1:],
-                    baselines + matrix[1:, -1], baselines, target.kind,
-                ).values
-        block.clear()
-
-    games = filter(None, map(iterate, range(cfg.iterations)))
-    for block in game.packed(games, lambda item: item[2].size, BLOCK_PAYOFFS):
-        solve(block)
+    for k in range(cfg.iterations):
+        iterate(k)
     band = BandedSeries(grid, rows.mean(axis=0), rows.std(axis=0), cfg.iterations)
     if target is None:
         return band, None, None

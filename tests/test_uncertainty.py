@@ -263,42 +263,27 @@ class TestMcBands:
         band, *_ = mc_bands(empty, cfg, "roc", cs.Target.roc_slice(0.0))
         np.testing.assert_array_equal(band.mean, cfg.grid)
 
-    def test_shapley_solves_take_blocks_of_iterations(self, banknote, monkeypatch):
-        """The payoff matrices of consecutive games are solved together, at
-        most BLOCK_PAYOFFS payoffs at a time, in iteration order; a matrix of
-        more payoffs is solved alone, one call per iteration."""
-        calls = []
-
-        def recording(payoffs):
-            calls.append(np.array(payoffs))
-            return shapley_map(payoffs)
-
-        shapley_map = uncertainty._shapley_map
-        monkeypatch.setattr(uncertainty, "_shapley_map", recording)
-        cfg = McConfig(iterations=12, base_seed=1)
-        mc_bands(banknote, cfg, "roc", cs.Target.roc_slice(0.0))
-        per_iteration = (1 + cfg.grid.size) * 16
-        assert all(call.size <= uncertainty.BLOCK_PAYOFFS for call in calls)
-        assert [call.size for call in calls] == [5 * per_iteration] * 2 + [2 * per_iteration]
-        calls.clear()
-        mc_bands(banknote, cfg, "roc", cs.Target.auc())
-        assert [call.shape for call in calls] == [(12, 16)]
-        calls.clear()
-        wide = make_blobs(np.random.default_rng(1), n_rows=80, n_features=7)
-        assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
-        mc_bands(wide, McConfig(iterations=3), "roc", cs.Target.roc_slice(0.0))
-        assert [call.shape for call in calls] == [(1 + cfg.grid.size, 1 << 7)] * 3
-
-    def test_a_full_block_is_solved_before_the_next_game(self, monkeypatch):
-        """When every matrix alone fills a block, iteration k is solved
-        before iteration k + 1's payoff matrix is built, and no solved matrix
-        is still held then: the packer holds no finished block while the
-        next game is computed."""
-        events, matrices = [], []
+    @pytest.mark.parametrize(
+        "data, cfg, target, shape",
+        [
+            ("banknote", McConfig(iterations=12, base_seed=1), cs.Target.roc_slice(0.0),
+             (102, 16)),
+            ("banknote", McConfig(iterations=12, base_seed=1), cs.Target.auc(), (1, 16)),
+            ("wide", McConfig(iterations=3), cs.Target.roc_slice(0.0), (102, 1 << 7)),
+        ],
+        ids=["banknote-slices", "banknote-auc", "seven-features-slices"],
+    )
+    def test_each_iteration_is_solved_before_the_next_game(
+        self, banknote, monkeypatch, data, cfg, target, shape
+    ):
+        """Iteration k's payoff matrix is solved alone, before iteration
+        k + 1's is built, and no solved matrix is still held then."""
+        events, matrices, shapes = [], [], []
         shapley_map, payoff_matrix = uncertainty._shapley_map, game._payoff_matrix
 
         def solving(payoffs):
             events.append("solve")
+            shapes.append(np.shape(payoffs))
             return shapley_map(payoffs)
 
         def building(spec, grid):
@@ -310,11 +295,11 @@ class TestMcBands:
 
         monkeypatch.setattr(uncertainty, "_shapley_map", solving)
         monkeypatch.setattr(game, "_payoff_matrix", building)
-        wide = make_blobs(np.random.default_rng(1), n_rows=80, n_features=7)
-        cfg = McConfig(iterations=3)
-        assert (1 + cfg.grid.size) << 7 > uncertainty.BLOCK_PAYOFFS
-        mc_bands(wide, cfg, "roc", cs.Target.roc_slice(0.0))
-        assert events == ["build", "solve"] * 3
+        d = (banknote if data == "banknote"
+             else make_blobs(np.random.default_rng(1), n_rows=80, n_features=7))
+        mc_bands(d, cfg, "roc", target)
+        assert events == ["build", "solve"] * cfg.iterations
+        assert shapes == [shape] * cfg.iterations
 
     def test_each_coalition_scored_once_per_iteration(self, banknote, monkeypatch):
         """An area and a slice target of one curve family share one game, so

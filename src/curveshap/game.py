@@ -39,8 +39,10 @@ EXACT_MODE_CAP = 20
 # BATCH_FLOATS // (test rows × (k + SWEEP_FLOATS)) of them, at least one, and
 # holds about BATCH_FLOATS × 8 bytes (512 KiB) however wide they are.
 BATCH_FLOATS = 1 << 16
-# Float64 values per score beside the k terms.  tracemalloc measures about 3.7
-# while a batch is scored (its log-likelihoods and scores).  A sweep of 15 to
+# Float64 values per score beside the k terms.  tracemalloc measures 2.1 to
+# 2.4 while a batch of 1 to 16 columns on 275 test rows gathers and sums its
+# terms (its two log-likelihoods), and 3.0 in all once the terms are freed and
+# the posterior transform writes its scores beside them.  A sweep of 15 to
 # 29 coalitions on 275 test rows, on either ranking path, peaks at 5.2 when
 # no row is tied and only areas are read, 6.3 (ROC) or 7.3 (PR) once a slice
 # reads its points, and 8.4 when every row is tied: 4.1 to 7.2 per score (its

@@ -1,7 +1,14 @@
 """Gaussian naive Bayes scoring.
 
 Training fits class-conditional Gaussians per feature by maximum likelihood;
-scoring returns normalized positive-class posteriors computed in log-space.
+scoring returns positive-class posteriors 1 / (1 + exp(l0 − l1)) of each
+class's summed log-likelihood l plus its log prior, with one vectorised exp.
+Against exp(l1 − logaddexp(l0, l1)) they differ by a few ulps, and in order
+or ties only in two bands: log-odds l1 − l0 below about −709.8 score exactly
+0.0 (exp overflows), and saturation at 1.0 depends on l1 − l0 alone, not on
+how far l1 lies below 0.  l0 = −inf scores 1.0, l1 = −inf 0.0, and both −inf
+or any NaN give NaN.
+
 Every statistic of the fit is reduced over one feature column alone, so the
 model of a feature coalition is a column subset of the full model: scoring
 with `columns` gives bit for bit the scores of a model retrained on those
@@ -228,8 +235,7 @@ def score(
         # Freed before the other class gathers its own: a batch holds one
         # block of k terms per score at a time, as game.BATCH_FLOATS counts.
         del block
-    scores = _posteriors(log_joint, _log_priors(m))
-    return scores if batch else scores[0]
+    return _posteriors(log_joint if batch else log_joint[:, 0], _log_priors(m))
 
 
 def _log_priors(m: TrainedModel) -> tuple:
@@ -238,13 +244,19 @@ def _log_priors(m: TrainedModel) -> tuple:
 
 
 def _posteriors(log_joint: np.ndarray, log_priors: tuple) -> np.ndarray:
-    """The positive-class posteriors of (2, M, rows) summed log-likelihoods,
-    each class's log prior added to its (M, rows) plane in place first."""
+    """The positive-class posteriors of (2, ...) summed log-likelihoods, each
+    class's log prior added to its plane in place first, in a fresh array of
+    one plane's shape."""
     for c in (0, 1):
         log_joint[c] += log_priors[c]
-    # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), evaluated stably.
+    # P(y=1 | x) = 1 / (1 + exp(l0 - l1)), with numpy's vectorised exp, not
+    # logaddexp's scalar exp and log1p.  exp overflows to inf below log-odds
+    # of about -709.8, which score exactly 0.0 (see the module docstring).
     with np.errstate(over="ignore", invalid="ignore"):   # see train_gnb
-        return np.exp(log_joint[1] - np.logaddexp(log_joint[0], log_joint[1]))
+        scores = np.subtract(log_joint[0], log_joint[1])
+        np.exp(scores, out=scores)
+        scores += 1.0
+        return np.reciprocal(scores, out=scores)
 
 
 def lattice_scores(m: TrainedModel, test: Dataset, floats: int):

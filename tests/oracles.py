@@ -6,7 +6,9 @@ every permutation.  They are slow and obviously correct.  The scoring and
 sweep references restate one lane or one row at a time the formulas that the
 package's batched code must match bit for bit.  The CSV reference reads
 every cell in one Python loop, the checks the buffered loader must match.
-The Shapley-map reference gathers each feature's coalitions by mask.
+The old posterior transform is kept beside the new one, so tests can check
+where the two differ and where they give the same payoffs.  The Shapley-map
+reference gathers each feature's coalitions by mask.
 """
 
 from __future__ import annotations
@@ -124,7 +126,24 @@ def sorted_sum_scores(m, test, cols) -> np.ndarray:
         terms *= -0.5
         log_joint.append(np.log(m.priors[c]) + in_order_sum(terms))
     l0, l1 = log_joint
-    return np.ascontiguousarray(np.exp(l1 - np.logaddexp(l0, l1)).T)
+    return np.ascontiguousarray(logistic_posteriors(l0, l1).T)
+
+
+def logistic_posteriors(l0, l1) -> np.ndarray:
+    """The positive-class posterior 1 / (1 + exp(l0 − l1)) of each class's
+    log-likelihood with its log prior added, the package's transform."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 1.0 / (1.0 + np.exp(l0 - l1))
+
+
+def logaddexp_posteriors(l0, l1) -> np.ndarray:
+    """The positive-class posterior exp(l1 − logaddexp(l0, l1)), the transform
+    the package used before `logistic_posteriors`.  It differs from that one
+    by a few ulps, and it keeps scoring positive where log-odds l1 − l0 below
+    about −709.8 score exactly 0.0 there, and can round to 1.0 where that one
+    does not, when l1 is far below 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(l1 - np.logaddexp(l0, l1))
 
 
 def stable_sweep_curve(scores, labels, family: str):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import curves, errors
-from curveshap import game
+from curveshap import game, model
 from curveshap.curves import (
     Strategy,
     default_grid,
@@ -39,7 +39,7 @@ from curveshap.report import write_payoffs
 from curveshap.shapley import shapley_curve, shapley_sampled, shapley_sampled_curve
 
 from conftest import points_built
-from oracles import auc_rank_statistic
+from oracles import auc_rank_statistic, logaddexp_posteriors
 
 
 @pytest.fixture(scope="module")
@@ -731,13 +731,64 @@ def test_sampled_modes_take_more_than_63_features():
     np.testing.assert_array_equal(ca.reference, grid + reference.payoffs([full])[1:, 0])
 
 
-def banknote_with_noise(banknote, columns):
+def banknote_with_noise(banknote, columns, seed=0):
     """Banknote plus `columns` seeded N(0, 1) noise columns, split as the CLI
-    splits it by default: 275 test rows."""
+    splits it by default (at split seed `seed`): 275 test rows."""
     noise = np.random.default_rng(0).normal(size=(banknote.n_rows, columns))
     wide = cs.Dataset(np.hstack([banknote.features, noise]), banknote.labels,
                       banknote.feature_names + tuple(f"noise{i}" for i in range(columns)))
-    return cs.split(wide, cs.SplitSpec(0.8, 0))
+    return cs.split(wide, cs.SplitSpec(0.8, seed))
+
+
+def old_posterior_transform(calls):
+    """`model._posteriors` as it was before the logistic form, counting its
+    calls in the list `calls`."""
+    def posteriors(log_joint, log_priors):
+        calls.append(log_joint.shape)
+        for c in (0, 1):
+            log_joint[c] += log_priors[c]
+        return logaddexp_posteriors(log_joint[0], log_joint[1])
+    return posteriors
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("noise", [0, 12])
+def test_old_posterior_transform_gives_the_same_attributions(banknote, monkeypatch, noise, seed):
+    """On banknote and banknote plus 12 noise columns, no posterior falls in
+    a band where the two transforms order or tie rows differently: the exact
+    AUC and AUPRC payoff tables and a 500-sample φ keep every bit."""
+    train, test = banknote_with_noise(banknote, noise, seed)
+
+    def games():
+        tables = [evaluate_all(GameSpec(t, train, test)).values
+                  for t in (Target.auc(), Target.auprc())]
+        sampled = shapley_sampled(GameSpec(Target.auc(), train, test), samples=500, seed=seed)
+        return [*tables, sampled.values]
+
+    new = games()
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_posteriors", old_posterior_transform(calls))
+        old = games()
+    assert {shape[0] for shape in calls} == {2}
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_underflow_band_ties_opposite_label_rows(monkeypatch):
+    """Test rows at log-odds about −720 (positive) and −730 (negative) both
+    score exactly 0.0 and tie, where the old transform's subnormal posteriors
+    ranked them apart: AUC 0.625, not 0.75."""
+    train = cs.Dataset(np.array([[-1.0], [1.0], [9.0], [11.0]]), np.array([0, 0, 1, 1]), ("x",))
+    test = cs.Dataset(np.array([[10.0], [0.0], [-67.0], [-68.0]]), np.array([1, 0, 1, 0]),
+                      ("x",))
+    spec = GameSpec(Target.auc(), train, test)
+    assert score(train_gnb(train), test)[2:].tolist() == [0.0, 0.0]
+    assert evaluate_all(spec).values.tolist() == [0.0, 0.125]
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_posteriors", old_posterior_transform([]))
+        assert (score(train_gnb(train), test)[2:] > 0.0).all()
+        assert evaluate_all(spec).values.tolist() == [0.0, 0.25]
 
 
 # Peak traced bytes of one `payoffs` call, in units of the default budget's

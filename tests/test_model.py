@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 import curveshap as cs
 from curveshap import errors
-from curveshap.model import VAR_FLOOR, _in_order_sum, score, train_gnb
+from curveshap.model import (
+    VAR_FLOOR, _in_order_sum, _posteriors, lattice_scores, score, train_gnb,
+)
 
 from conftest import make_blobs
-from oracles import in_order_sum, sorted_sum_scores
+from oracles import (
+    in_order_sum, logaddexp_posteriors, logistic_posteriors, sorted_sum_scores,
+)
 
 
 def assert_same_bits(a, b):
@@ -333,3 +337,66 @@ class TestNetworkSum:
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         assert_same_bits(got[~nan], want[~nan])
+
+
+def posteriors_of(l0, l1):
+    """`_posteriors` of one (2, rows) pair of log-likelihoods, zero priors."""
+    log_joint = np.array([l0, l1], dtype=np.float64)
+    return _posteriors(log_joint, (np.float64(0.0), np.float64(0.0)))
+
+
+class TestPosteriorTransform:
+    """Scores are 1 / (1 + exp(l0 − l1)).  Against the old
+    exp(l1 − logaddexp(l0, l1)) they differ in order or ties only in two
+    bands, pinned here, and not at all on non-finite log-likelihoods."""
+
+    def test_log_odds_below_exp_overflow_score_exactly_zero(self):
+        """Below log-odds of about −709.8, exp(l0 − l1) overflows and the
+        score is 0.0; the old transform stayed positive down to −745."""
+        l1 = np.array([-709.7, -709.8, -709.9, -720.0, -745.0, -746.0])
+        l0 = np.zeros_like(l1)
+        got = posteriors_of(l0, l1)
+        old = logaddexp_posteriors(l0, l1)
+        assert got[0] > 0.0 and got[0] == old[0]
+        np.testing.assert_array_equal(got[2:], 0.0)
+        assert (old[2:5] > 0.0).all() and old[5] == 0.0
+        assert got.tolist() == logistic_posteriors(l0, l1).tolist()
+
+    def test_saturation_depends_on_the_log_odds_alone(self):
+        """Log-odds of 35 score just below 1.0 however far l1 lies below 0;
+        the old transform rounded to 1.0 once l1 lay far below 0."""
+        l1 = np.array([0.0, -1e4])
+        got = posteriors_of(l1 - 35.0, l1)
+        np.testing.assert_array_equal(got, 0.9999999999999993)
+        assert logaddexp_posteriors(l1 - 35.0, l1).tolist() == [0.9999999999999993, 1.0]
+        # Past about 36.7 both round to 1.0.
+        np.testing.assert_array_equal(posteriors_of(l1 - 37.0, l1), 1.0)
+
+    @pytest.mark.parametrize("l0, l1, expected", [
+        (-np.inf, -5.0, 1.0),
+        (-5.0, -np.inf, 0.0),
+        (-np.inf, -np.inf, np.nan),
+        (np.nan, -5.0, np.nan),
+        (-5.0, np.nan, np.nan),
+    ], ids=["l0-minus-inf", "l1-minus-inf", "both-minus-inf", "nan-l0", "nan-l1"])
+    def test_non_finite_log_likelihoods(self, l0, l1, expected):
+        """A non-finite case scores as before, so degenerate coalitions (any
+        non-finite score) are the same; numpy warns of none of them."""
+        got = posteriors_of([l0], [l1])
+        old = logaddexp_posteriors(np.array([l0]), np.array([l1]))
+        np.testing.assert_array_equal(got, [expected])
+        np.testing.assert_array_equal(old, [expected])
+
+    def test_scores_own_their_data(self, banknote_split):
+        """Scores are a fresh array, not a view of the log-likelihoods."""
+        train, test = banknote_split
+        m = train_gnb(train)
+        assert score(m, test).base is None
+        assert score(m, test, [2]).base is None
+        assert score(m, test, np.array([[0, 1], [1, 3]])).base is None
+        blocks = 0
+        for floats in (1, 1 << 16):
+            for _, scores in lattice_scores(m, test, floats):
+                assert scores.base is None
+                blocks += 1
+        assert blocks > 2

@@ -138,10 +138,10 @@ def logistic_posteriors(l0, l1) -> np.ndarray:
 
 def logaddexp_posteriors(l0, l1) -> np.ndarray:
     """The positive-class posterior exp(l1 − logaddexp(l0, l1)), the transform
-    the package used before `logistic_posteriors`.  It differs from that one
-    by a few ulps, and it keeps scoring positive where log-odds l1 − l0 below
-    about −709.8 score exactly 0.0 there, and can round to 1.0 where that one
-    does not, when l1 is far below 0."""
+    the package used before `logistic_posteriors`.  The two differ by a few
+    ulps, and in two bands: below log-odds l1 − l0 of about −709.8 this one
+    stays positive (down to −745) where the other is 0.0, and with l1 far
+    below 0 this one can round to 1.0 where the other does not."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(l1 - np.logaddexp(l0, l1))
 

@@ -3,9 +3,9 @@
 Curves are built by a descending threshold sweep with tied scores collapsed
 into a single step.  `sweeper` checks a label vector once and returns the
 sweep of every row of an (M, rows) score array against it into one
-`CurveBatch`, so a game checks its test labels once, not once per sweep;
-`roc_batch` / `pr_batch` are its one-call form.  A sweep ranks each row's
-labels once, highest score first, and derives the rest from that:
+`CurveBatch`, so a game checks its test labels once, not once per sweep.
+It is the one way into the sweep.  A sweep ranks each row's labels once,
+highest score first, and derives the rest from that:
 
 - Ranking.  When every score of the batch is ≥ 0, as every posterior is, one
   `np.sort` per row of uint64 keys (score bits << 1) | label ranks them; the
@@ -19,14 +19,13 @@ labels once, highest score first, and derives the rest from that:
   it, for PR those at its positives; every other term is +0.0.  They are
   added in point order, so each area keeps the bits of the trapezoid over
   all its points.  A row with ties takes that trapezoid over its collapsed
-  points.
+  points, through `trapezoid`.
 - Points.  `CurveBatch` builds the padded (M, rows + 1) point arrays from the
-  ranking the first time a caller reads them (`estimate`, `rows`, `x`, ...):
+  ranking the first time a caller reads them (`estimate`, `x`, ...):
   a row with ties keeps the last point of each tied group and repeats its end
   point after it.  An area-only game never builds them.
 
-`CurveBatch.rows` gives each row's (x, y, area) as views of those arrays, and
-`roc_from_scores` / `pr_from_scores` wrap the one row of a one-row batch.
+`roc_from_scores` / `pr_from_scores` read the one row of a one-row batch.
 
 `CurveBatch.estimate`, `estimate_tpr` and `estimate_precision` answer "what
 is the curve's value at this abscissa" under the three bracketing strategies,
@@ -154,11 +153,6 @@ class CurveBatch:
         span, clamp to it."""
         q = np.clip(np.asarray(query, dtype=np.float64), 0.0, 1.0)
         return _bracket(self.levels, self.counts, self.x, self.y, q, s)
-
-    def rows(self) -> list[tuple]:
-        """Each row's (x, y, area), views of its own points."""
-        return [(x[:n], y[:n], area) for x, y, n, area
-                in zip(self.x, self.y, self.lengths.tolist(), self.areas.tolist())]
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray):
@@ -290,11 +284,8 @@ def _batch(scores, labels, n_pos: int, n_neg: int, roc: bool) -> CurveBatch:
     tied_points = ()
     if tied.size:
         tied_points = _points(ranked[tied], n_pos, n_neg, roc, distinct[tied])
-        x, y = tied_points[1:3]
-        terms = x[:, 1:] - x[:, :-1]
-        terms *= y[:, 1:] + y[:, :-1]
-        # Summed in point order: the zero terms of the padding add nothing.
-        areas[tied] = _in_order_area(terms)
+        # The padding repeats the end point: its +0.0 terms add nothing.
+        areas[tied] = trapezoid(tied_points[2], tied_points[1])
     return CurveBatch(ranked, tied, tied_points, n_pos, n_neg, roc, areas)
 
 
@@ -316,30 +307,22 @@ def sweeper(labels, roc: bool) -> Callable[[np.ndarray], CurveBatch]:
     return lambda scores: _batch(scores, labels, n_pos, n_neg, roc)
 
 
-def roc_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
-    """Threshold-sweep ROC curves, with endpoints (0,0) and (1,1), of every
-    row of `scores` (M, rows) against the same 0/1 `labels`."""
-    return sweeper(labels, roc=True)(scores)
+def roc_from_scores(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
+    """Threshold-sweep ROC curve with endpoints (0,0) and (1,1)."""
+    curve = sweeper(labels, roc=True)(np.asarray(scores)[np.newaxis])
+    n = curve.lengths[0]
+    return RocCurve(curve.x[0, :n], curve.y[0, :n], float(curve.areas[0]))
 
 
-def pr_batch(scores: np.ndarray, labels: np.ndarray) -> CurveBatch:
-    """Threshold-sweep PR curves of every row of `scores` (M, rows) against
-    the same 0/1 `labels`.
+def pr_from_scores(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
+    """Threshold-sweep PR curve.
 
     The left endpoint (0, precision of the highest-score step) is prepended
     as a convention; precision at recall 0 is otherwise undefined.
     """
-    return sweeper(labels, roc=False)(scores)
-
-
-def roc_from_scores(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """Threshold-sweep ROC curve with endpoints (0,0) and (1,1)."""
-    return RocCurve(*roc_batch(np.asarray(scores)[np.newaxis], labels).rows()[0])
-
-
-def pr_from_scores(scores: np.ndarray, labels: np.ndarray) -> PrCurve:
-    """Threshold-sweep PR curve; see `pr_batch`."""
-    return PrCurve(*pr_batch(np.asarray(scores)[np.newaxis], labels).rows()[0])
+    curve = sweeper(labels, roc=False)(np.asarray(scores)[np.newaxis])
+    n = curve.lengths[0]
+    return PrCurve(curve.x[0, :n], curve.y[0, :n], float(curve.areas[0]))
 
 
 def _bracket(levels, counts, x, y, q: np.ndarray, s: Strategy) -> np.ndarray:

@@ -217,7 +217,8 @@ class PayoffEngine:
     lattice of a `TrainedModel` by its walk.  Either source yields
     (columns, scores) blocks into one loop, which `packed` them into sweeps:
     each sweep is one `CurveBatch`, whose areas and operating points give the
-    payoffs of all its rows at once.  Nothing is kept between calls.
+    payoffs of all its rows at once.  Nothing is kept between calls: each
+    sets `trainings` and `grand_readout` afresh.
     """
 
     def __init__(self, spec: GameSpec, grid: np.ndarray | None = None):
@@ -235,11 +236,6 @@ class PayoffEngine:
         self._sweep = sweeper(spec.test.labels, roc)
         self.spec = spec
         self.scorer = spec.fit(spec.train)
-        self.trainings = 0      # coalitions scored
-        # The grand coalition's raw readout (1 + abscissae,): its area, then its
-        # curve's values at the abscissae, no baseline subtracted, even where
-        # its payoffs are zero; set by each `payoffs` call that scores it.
-        self.grand_readout = None
 
     def payoffs(self, masks: Sequence[int]) -> np.ndarray:
         """The (1 + abscissae, len(masks)) payoff columns of `masks`, Python
@@ -261,6 +257,11 @@ class PayoffEngine:
         lattice are checked against the arity first, and a payoff array that
         numpy cannot allocate is a DataError.
         """
+        self.trainings = 0      # coalitions this call scored
+        # The grand coalition's raw readout (1 + abscissae,): its area, then its
+        # curve's values at the abscissae, no baseline subtracted, even where
+        # its payoffs are zero; None unless this call scored it.
+        self.grand_readout = None
         n = self.spec.n
         lattice = isinstance(masks, range) and masks == range(1 << n)
         if not lattice:         # the lattice is in range by construction

@@ -12,16 +12,22 @@ from curveshap.curves import (
     default_grid,
     estimate_precision,
     estimate_tpr,
-    pr_batch,
     pr_from_scores,
-    roc_batch,
     roc_from_scores,
+    sweeper,
     trapezoid,
 )
 
 from oracles import auc_rank_statistic, bracket_value, in_order_sum, stable_sweep_curve
 
 STRATEGIES = tuple(Strategy)
+
+
+def batch_rows(curves):
+    """Each row's (x, y, area) of a `CurveBatch`: the first `lengths` of
+    its padded points."""
+    return [(x[:n], y[:n], area) for x, y, n, area
+            in zip(curves.x, curves.y, curves.lengths, curves.areas)]
 
 
 def scores_with_ties(draw_seed):
@@ -264,16 +270,16 @@ def test_batch_rows_equal_single_rows(seed):
     labels[:2] = [0, 1]
     scores = rng.random((int(rng.integers(1, 8)), rows))
     scores[::2] = np.round(scores[::2], 1)   # ties in every other row
-    for batch, single, fields in (
-        (roc_batch, roc_from_scores, ("fpr", "tpr", "auc")),
-        (pr_batch, pr_from_scores, ("recall", "precision", "auprc")),
+    for roc, single, fields in (
+        (True, roc_from_scores, ("fpr", "tpr", "auc")),
+        (False, pr_from_scores, ("recall", "precision", "auprc")),
     ):
-        for row, curve in zip(scores, batch(scores, labels).rows()):
+        for row, curve in zip(scores, batch_rows(sweeper(labels, roc)(scores))):
             alone = single(row, labels)
             for got, field in zip(curve, fields):
                 np.testing.assert_array_equal(got, getattr(alone, field))
-        for row, (_, _, auc) in zip(scores, roc_batch(scores, labels).rows()):
-            assert abs(auc - auc_rank_statistic(row, labels)) < 1e-12
+    for row, auc in zip(scores, sweeper(labels, roc=True)(scores).areas):
+        assert abs(auc - auc_rank_statistic(row, labels)) < 1e-12
 
 
 @settings(max_examples=40)
@@ -290,12 +296,12 @@ def test_batch_estimates_equal_single_curve_estimates(seed):
     scores = rng.random((int(rng.integers(2, 8)), rows))
     scores[::2] = np.round(scores[::2], 1)   # ties in every other row
     scores[0, 1] = scores[0, 0]
-    for batch, single, estimate, n in (
-        (roc_batch, roc_from_scores, estimate_tpr, int((labels == 0).sum())),
-        (pr_batch, pr_from_scores, estimate_precision, int((labels == 1).sum())),
+    for roc, single, estimate, n in (
+        (True, roc_from_scores, estimate_tpr, int((labels == 0).sum())),
+        (False, pr_from_scores, estimate_precision, int((labels == 1).sum())),
     ):
         queries = np.concatenate([[0.0, 1.0], np.arange(n + 1) / n, default_grid()])
-        curves = batch(scores, labels)
+        curves = sweeper(labels, roc)(scores)
         assert (curves.lengths < rows + 1).any() and (curves.lengths == rows + 1).any()
         for s in STRATEGIES:
             for row, values in zip(scores, curves.estimate(queries, s)):
@@ -317,8 +323,8 @@ def test_heavy_ties_match_stable_sweep(seed, decimals):
     labels[:2] = [0, 1]
     scores = rng.random((6, 800)) ** 2
     scores[1:] = np.round(scores[1:], decimals)   # row 0 stays tie-free
-    for family, batch in (("roc", roc_batch), ("pr", pr_batch)):
-        for row, curve in zip(scores, batch(scores, labels).rows()):
+    for family, roc in (("roc", True), ("pr", False)):
+        for row, curve in zip(scores, batch_rows(sweeper(labels, roc)(scores))):
             for got, want in zip(curve, stable_sweep_curve(row, labels, family)):
                 np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                               np.asarray(want).view(np.int64))
@@ -336,6 +342,27 @@ def test_nan_scores_form_one_tied_group():
         np.testing.assert_array_equal(single(scores[perm], labels[perm]).points, base.points)
         # the origin, one point per finite score, one for the NaN group
         assert len(base.points) == 2 + np.isfinite(scores).sum()
+
+
+def test_single_curves_match_stable_sweep():
+    """`roc_from_scores` and `pr_from_scores` give, bit for bit, the x, y and
+    area of a stable sweep on untied, tied, NaN and signed score rows; a NaN
+    score sweeps as -inf does, ranked last in one tied group."""
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 2, 60)
+    labels[:2] = [0, 1]
+    nan = rng.random(60)
+    nan[rng.random(60) < 0.3] = np.nan
+    for scores in (rng.random(60), np.round(rng.random(60), 1), nan,
+                   rng.standard_normal(60)):
+        for single, family, area in ((roc_from_scores, "roc", "auc"),
+                                     (pr_from_scores, "pr", "auprc")):
+            curve = single(scores, labels)
+            got = (*curve.points.T, getattr(curve, area))
+            want = stable_sweep_curve(np.nan_to_num(scores, nan=-np.inf), labels, family)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(np.asarray(g).view(np.int64),
+                                              np.asarray(w).view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [2, -1])
@@ -374,14 +401,15 @@ def test_both_ranking_paths_agree_bit_for_bit(monkeypatch):
     assert (scores >= 0.0).all() and np.signbit(scores).any()   # -0.0 is ≥ 0
     argsort, calls = np.argsort, []
     monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
-    for batch in (roc_batch, pr_batch):
-        keyed = batch(scores, labels)
+    for roc in (True, False):
+        sweep = sweeper(labels, roc)
+        keyed = sweep(scores)
         assert calls == []
         assert keyed.tied.tolist() == [1, 2, 4, 5]
         for last in (np.nan, -0.5):
             extra = rng.random(rows)
             extra[rows // 2] = last
-            sorted_ = batch(np.vstack([scores, extra]), labels)
+            sorted_ = sweep(np.vstack([scores, extra]))
             assert calls.pop() == 1
             for field in ("areas", "x", "y", "counts", "lengths"):
                 got, want = getattr(sorted_, field)[:-1], getattr(keyed, field)
@@ -404,9 +432,8 @@ def test_areas_are_in_order_trapezoids_of_their_points(seed):
     scores[::2] = np.round(scores[::2], 1)   # ties in every other row
     scores[:2, labels.argmax()] = 2.0        # a positive ranked first
     scores[2:4, labels.argmin()] = 2.0       # a negative ranked first
-    for batch in (roc_batch, pr_batch):
-        curves = batch(scores, labels)
-        for x, y, area in curves.rows():
+    for roc in (True, False):
+        for x, y, area in batch_rows(sweeper(labels, roc)(scores)):
             assert area == 0.5 * float(in_order_sum((x[1:] - x[:-1]) * (y[1:] + y[:-1])))
 
 

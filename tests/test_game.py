@@ -141,6 +141,19 @@ class TestPayoff:
             PayoffEngine(auc_spec).payoffs([mask]), PayoffEngine(auc_spec).payoffs([mask])
         )
 
+    def test_each_call_sets_its_own_state(self, auc_spec):
+        """`trainings` and `grand_readout` describe the last `payoffs` call
+        alone: a second call on one engine neither adds to the first's count
+        nor keeps its grand readout."""
+        engine = PayoffEngine(auc_spec)
+        engine.payoffs(range(16))
+        assert engine.trainings == 15
+        assert engine.grand_readout[0] == engine.payoffs([0b1111])[0, 0] + 0.5
+        assert engine.trainings == 1
+        engine.payoffs([1, 2])
+        assert engine.trainings == 2
+        assert engine.grand_readout is None
+
 
 class TestEvaluateAll:
     def test_banknote_has_16_entries(self, auc_spec):
